@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import constants
 from ..codec.compression import compressed_size, encode_raw_tuples
@@ -45,10 +45,13 @@ from ..codec.quadtree import FlaggedPoint
 from ..codec.setops import intersect_points, union_points
 from ..errors import ProtocolError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from ..query.evaluate import Row, evaluate_join
+from ..query.evaluate import JoinResult, Row, evaluate_join
+from ..query.query import JoinQuery
+from ..routing.dissemination import PIGGYBACK_HEADER_BYTES
 from ..sim.node import BASE_STATION_ID
 from ..sim.trace import (
     FILTER_BROADCAST,
+    FILTER_PIGGYBACK,
     FILTER_PRUNED,
     FINAL_SEND,
     NullTracer,
@@ -69,7 +72,15 @@ from .base import (
 )
 from .filterbuild import build_join_filter
 
-__all__ = ["SensJoin", "SensJoinConfig", "PHASE_COLLECTION", "PHASE_FILTER", "PHASE_FINAL"]
+__all__ = [
+    "SensJoin",
+    "SensJoinConfig",
+    "SensJoinRun",
+    "evaluate_arrived",
+    "PHASE_COLLECTION",
+    "PHASE_FILTER",
+    "PHASE_FINAL",
+]
 
 PHASE_COLLECTION = "join-attribute-collection"
 PHASE_FILTER = "filter-dissemination"
@@ -119,6 +130,43 @@ class _NodeState:
     filter_arrival: float = 0.0
 
 
+@dataclass
+class SensJoinRun:
+    """One query's protocol state, carried through SENS-Join's phases.
+
+    :meth:`SensJoin.begin` allocates it; :meth:`SensJoin.collect`,
+    :meth:`SensJoin.disseminate` and :meth:`SensJoin.final` advance it in
+    that order.  The caller sets ``join_filter`` between collection and
+    dissemination.  ``finish_s`` is the critical-path time at which the
+    latest phase run so far ended; ``arrived`` holds the complete tuples
+    the final phase delivered to the base station.
+    """
+
+    context: ExecutionContext
+    fmt: TupleFormat
+    states: Dict[int, _NodeState]
+    details: Dict[str, float] = field(default_factory=dict)
+    join_filter: FrozenSet[FlaggedPoint] = frozenset()
+    arrived: List[FullTupleRecord] = field(default_factory=list)
+    finish_s: float = 0.0
+
+
+def evaluate_arrived(
+    query: JoinQuery, fmt: TupleFormat, arrived: Sequence[FullTupleRecord]
+) -> JoinResult:
+    """The exact join of ``query`` over the tuples that reached the base station.
+
+    Any query sharing ``fmt``'s aliases and flag bits can be evaluated over
+    the same arrived set.  Selections were applied at acquisition time,
+    hence ``apply_selections=False``.
+    """
+    tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
+    for record in arrived:
+        for alias in fmt.aliases_of_flags(record.flags):
+            tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
+    return evaluate_join(query, tuples_by_alias, apply_selections=False)
+
+
 class SensJoin(JoinAlgorithm):
     """The SENS-Join protocol (see module docstring)."""
 
@@ -146,11 +194,6 @@ class SensJoin(JoinAlgorithm):
         #: superset, which is what lets a broker disseminate one composed
         #: filter on behalf of several queries.
         self.filter_override = filter_override
-        #: The complete tuples that reached the base station in step 2 of
-        #: the most recent :meth:`execute` (set by ``_final_phase``).  A
-        #: multi-query broker re-evaluates each member query exactly over
-        #: this one arrived set.
-        self.last_arrived_records: List[FullTupleRecord] = []
         if config.representation != "quadtree":
             self.name = f"sens-join[{config.representation}]"
 
@@ -207,55 +250,48 @@ class SensJoin(JoinAlgorithm):
 
     def execute(self, context: ExecutionContext) -> JoinOutcome:
         """Run one snapshot execution of the three-step protocol."""
-        network, tree = context.network, context.tree
-        fmt = context.tuple_format()
-        channel = network.channel
-        keep_raw = self.config.representation in ("zlib", "bzip2")
-
-        states: Dict[int, _NodeState] = {node_id: _NodeState() for node_id in tree.node_ids}
-        details: Dict[str, float] = {}
-        tel = self.telemetry
-
-        with tel.span(
-            PHASE_COLLECTION, node_id=BASE_STATION_ID, start=0.0, protocol=self.name
-        ) as sp:
-            bs_points, bs_finish = self._collection_phase(
-                context, fmt, states, keep_raw, details
-            )
-            sp.end = bs_finish
-
-        details["collection_finish_s"] = bs_finish
-        join_filter = self._build_filter(fmt, bs_points)
-        details["filter_points"] = float(len(join_filter))
-        details["filter_bytes"] = float(self._filter_bytes(fmt, join_filter))
-
-        with tel.span(
-            PHASE_FILTER, node_id=BASE_STATION_ID, start=bs_finish, protocol=self.name
-        ) as sp:
-            filter_finish = self._filter_phase(
-                context, fmt, states, join_filter, bs_finish, details
-            )
-            sp.end = filter_finish
-
-        with tel.span(
-            PHASE_FINAL, node_id=BASE_STATION_ID, start=filter_finish, protocol=self.name
-        ) as sp:
-            result, response_time = self._final_phase(context, fmt, states, details)
-            sp.end = max(filter_finish, response_time)
+        run = self.begin(context)
+        details = run.details
+        points = self.collect(run)
+        details["collection_finish_s"] = run.finish_s
+        run.join_filter = self.build_filter(run.fmt, points)
+        details["filter_points"] = float(len(run.join_filter))
+        details["filter_bytes"] = float(self._filter_bytes(run.fmt, run.join_filter))
+        self.disseminate([run], run.finish_s)
+        result = self.final(run)
 
         # Three epoch-scheduled phases (collection, dissemination, final
         # collection; Fig. 1's sleepUntilNextStep boundaries) plus the
         # serialisation overflow accumulated along the critical path.
-        phase_overhead = 3 * tree.height * constants.DEFAULT_LEVEL_SLOT_S
+        phase_overhead = 3 * context.tree.height * constants.DEFAULT_LEVEL_SLOT_S
         return JoinOutcome(
             algorithm=self.name,
             result=result,
-            stats=network.stats,
-            response_time_s=phase_overhead + response_time,
+            stats=context.network.stats,
+            response_time_s=phase_overhead + run.finish_s,
             details=details,
         )
 
-    def _build_filter(
+    # -- the protocol's phases, public so that several queries can share them -------
+
+    def begin(self, context: ExecutionContext) -> SensJoinRun:
+        """Fresh per-node protocol state for one execution of ``context``."""
+        states = {node_id: _NodeState() for node_id in context.tree.node_ids}
+        return SensJoinRun(context, context.tuple_format(), states)
+
+    def collect(self, run: SensJoinRun) -> FrozenSet[FlaggedPoint]:
+        """Step 1a: the point set the base station collected.
+
+        Sets ``run.finish_s`` to the collection's critical-path finish.
+        """
+        with self.telemetry.span(
+            PHASE_COLLECTION, node_id=BASE_STATION_ID, start=0.0, protocol=self.name
+        ) as sp:
+            points, run.finish_s = self._collection_phase(run)
+            sp.end = run.finish_s
+        return points
+
+    def build_filter(
         self, fmt: TupleFormat, points: FrozenSet[FlaggedPoint]
     ) -> FrozenSet[FlaggedPoint]:
         """The filter to disseminate: single-query build, or the override."""
@@ -263,20 +299,48 @@ class SensJoin(JoinAlgorithm):
             return self.filter_override(fmt, points)
         return build_join_filter(fmt, points)
 
+    def disseminate(self, runs: Sequence[SensJoinRun], start_s: float) -> int:
+        """Step 1b: one pre-order wave carrying every run's ``join_filter``.
+
+        One run is the paper's single-query dissemination.  Several runs
+        over the same tree ride the same wave (see :meth:`_filter_phase`).
+        Sets every run's ``finish_s`` to the time the wave dies out and
+        returns how many broadcasts carried more than one filter.
+        """
+        with self.telemetry.span(
+            PHASE_FILTER, node_id=BASE_STATION_ID, start=start_s, protocol=self.name
+        ) as sp:
+            finish, piggybacked = self._filter_phase(runs, start_s)
+            sp.end = finish
+        for run in runs:
+            run.finish_s = finish
+        return piggybacked
+
+    def final(self, run: SensJoinRun) -> JoinResult:
+        """Step 2: the exact result of the run's own query.
+
+        Sets ``run.arrived`` and moves ``run.finish_s`` to the time the last
+        tuple reached the base station.
+        """
+        start = run.finish_s
+        with self.telemetry.span(
+            PHASE_FINAL, node_id=BASE_STATION_ID, start=start, protocol=self.name
+        ) as sp:
+            result, run.finish_s = self._final_phase(run)
+            sp.end = max(start, run.finish_s)
+        return result
+
     # -- step 1a -------------------------------------------------------------------
 
     def _collection_phase(
-        self,
-        context: ExecutionContext,
-        fmt: TupleFormat,
-        states: Dict[int, _NodeState],
-        keep_raw: bool,
-        details: Dict[str, float],
+        self, run: SensJoinRun
     ) -> Tuple[FrozenSet[FlaggedPoint], float]:
         """Post-order collection with Treecut; returns the base station's
         point set and the critical-path finish time."""
+        context, fmt, states, details = run.context, run.fmt, run.states, run.details
         network, tree = context.network, context.tree
         channel = network.channel
+        keep_raw = self.config.representation in ("zlib", "bzip2")
         treecut_enabled = self.config.dmax_bytes > 0
         reg = self.telemetry.registry
 
@@ -434,28 +498,30 @@ class SensJoin(JoinAlgorithm):
     # -- step 1b -------------------------------------------------------------------
 
     def _filter_phase(
-        self,
-        context: ExecutionContext,
-        fmt: TupleFormat,
-        states: Dict[int, _NodeState],
-        join_filter: FrozenSet[FlaggedPoint],
-        start_time: float,
-        details: Dict[str, float],
-    ) -> float:
+        self, runs: Sequence[SensJoinRun], start_time: float
+    ) -> Tuple[float, int]:
         """Pre-order dissemination with Selective Filter Forwarding.
 
-        Returns the time the filter wave dies out (the latest arrival at any
-        node that heard it) — the phase-span boundary.
+        Every run prunes its own filter against its own SubtreeJoinAtts.  At
+        each node the filters that survive ride one broadcast to the union
+        of their runs' awake children; when more than one rides, each is
+        framed by a ``PIGGYBACK_HEADER_BYTES`` header, so a lone filter costs
+        exactly its own bytes.  Returns the time the wave dies out (the
+        latest arrival at any node that heard it) — the phase-span boundary
+        — and how many broadcasts carried more than one filter.
         """
-        network, tree = context.network, context.tree
-        channel = network.channel
+        context = runs[0].context
+        tree = context.tree
+        channel = context.network.channel
         pruning_enabled = self.config.subtree_limit_bytes > 0
         reg = self.telemetry.registry
 
-        states[BASE_STATION_ID].filter_received = join_filter
-        states[BASE_STATION_ID].filter_arrival = start_time
-        broadcasts = 0
-        pruned_subtrees = 0
+        for run in runs:
+            run.states[BASE_STATION_ID].filter_received = run.join_filter
+            run.states[BASE_STATION_ID].filter_arrival = start_time
+        broadcasts = [0] * len(runs)
+        pruned_subtrees = [0] * len(runs)
+        piggybacked = 0
         last_arrival = start_time
         # Sibling subtrees regularly receive the same filter and store equal
         # SubtreeJoinAtts (dense deployments quantize to the same cells), so
@@ -466,59 +532,77 @@ class SensJoin(JoinAlgorithm):
         ] = {}
 
         for node_id in tree.pre_order():
-            state = states[node_id]
-            if state.exited:
+            children = tree.children(node_id)
+            riding = []
+            for index, run in enumerate(runs):
+                states = run.states
+                state = states[node_id]
+                if state.exited:
+                    continue
+                incoming = state.filter_received
+                if incoming is None or not incoming:
+                    continue
+                awake_children = [child for child in children if not states[child].exited]
+                if not awake_children:
+                    continue
+                if pruning_enabled and state.subtree_atts is not None:
+                    memo_key = (incoming, state.subtree_atts)
+                    subtree_filter = intersect_memo.get(memo_key)
+                    if subtree_filter is None:
+                        subtree_filter = intersect_points(incoming, state.subtree_atts)
+                        intersect_memo[memo_key] = subtree_filter
+                else:
+                    # Memory cap exceeded (or pruning disabled): forward as is.
+                    subtree_filter = incoming
+                if not subtree_filter:
+                    pruned_subtrees[index] += 1
+                    if reg.enabled:
+                        reg.counter("filter_pruned_subtrees_total", protocol=self.name).inc()
+                    self.tracer.emit(state.filter_arrival, node_id, FILTER_PRUNED)
+                    continue
+                riding.append((index, subtree_filter, awake_children, state.filter_arrival))
+            if not riding:
                 continue
-            incoming = state.filter_received
-            if incoming is None or not incoming:
-                continue
-            awake_children = [
-                child for child in tree.children(node_id) if not states[child].exited
-            ]
-            if not awake_children:
-                continue
-            if pruning_enabled and state.subtree_atts is not None:
-                memo_key = (incoming, state.subtree_atts)
-                subtree_filter = intersect_memo.get(memo_key)
-                if subtree_filter is None:
-                    subtree_filter = intersect_points(incoming, state.subtree_atts)
-                    intersect_memo[memo_key] = subtree_filter
+            departure = max(arrival for _, _, _, arrival in riding)
+            if len(riding) == 1:
+                index, subtree_filter, receivers, _ = riding[0]
+                payload_bytes = self._filter_bytes(runs[index].fmt, subtree_filter)
+                channel.broadcast(node_id, receivers, payload_bytes, PHASE_FILTER)
+                self.tracer.emit(
+                    departure, node_id, FILTER_BROADCAST,
+                    points=len(subtree_filter), bytes=payload_bytes,
+                    children=len(receivers),
+                )
             else:
-                # Memory cap exceeded (or pruning disabled): forward as is.
-                subtree_filter = incoming
-            if not subtree_filter:
-                pruned_subtrees += 1
-                if reg.enabled:
-                    reg.counter("filter_pruned_subtrees_total", protocol=self.name).inc()
-                self.tracer.emit(state.filter_arrival, node_id, FILTER_PRUNED)
-                continue
-            payload_bytes = self._filter_bytes(fmt, subtree_filter)
-            channel.broadcast(node_id, awake_children, payload_bytes, PHASE_FILTER)
-            broadcasts += 1
-            self.tracer.emit(
-                state.filter_arrival, node_id, FILTER_BROADCAST,
-                points=len(subtree_filter), bytes=payload_bytes,
-                children=len(awake_children),
-            )
-            arrival = state.filter_arrival + channel.last_send_latency_s
+                receivers = sorted({c for _, _, awake, _ in riding for c in awake})
+                payload_bytes = sum(
+                    self._filter_bytes(runs[index].fmt, subtree_filter)
+                    for index, subtree_filter, _, _ in riding
+                ) + PIGGYBACK_HEADER_BYTES * len(riding)
+                piggybacked += 1
+                self.tracer.emit(
+                    departure, node_id, FILTER_PIGGYBACK,
+                    filters=len(riding), bytes=payload_bytes,
+                )
+                channel.broadcast(node_id, receivers, payload_bytes, PHASE_FILTER)
+            arrival = departure + channel.last_send_latency_s
             last_arrival = max(last_arrival, arrival)
-            for child in awake_children:
-                states[child].filter_received = subtree_filter
-                states[child].filter_arrival = arrival
-        details["filter_broadcasts"] = float(broadcasts)
-        details["filter_pruned_subtrees"] = float(pruned_subtrees)
-        return last_arrival
+            for index, subtree_filter, awake_children, _ in riding:
+                broadcasts[index] += 1
+                states = runs[index].states
+                for child in awake_children:
+                    states[child].filter_received = subtree_filter
+                    states[child].filter_arrival = arrival
+        for index, run in enumerate(runs):
+            run.details["filter_broadcasts"] = float(broadcasts[index])
+            run.details["filter_pruned_subtrees"] = float(pruned_subtrees[index])
+        return last_arrival, piggybacked
 
     # -- step 2 --------------------------------------------------------------------
 
-    def _final_phase(
-        self,
-        context: ExecutionContext,
-        fmt: TupleFormat,
-        states: Dict[int, _NodeState],
-        details: Dict[str, float],
-    ):
+    def _final_phase(self, run: SensJoinRun) -> Tuple[JoinResult, float]:
         """Post-order collection of the complete tuples that match the filter."""
+        context, fmt, states, details = run.context, run.fmt, run.states, run.details
         network, tree = context.network, context.tree
         channel = network.channel
 
@@ -566,12 +650,8 @@ class SensJoin(JoinAlgorithm):
             finish[node_id] = children_finish + channel.last_send_latency_s
 
         arrived = carried[BASE_STATION_ID]
-        self.last_arrived_records = list(arrived)
-        tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-        for record in arrived:
-            for alias in fmt.aliases_of_flags(record.flags):
-                tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
-        result = evaluate_join(context.query, tuples_by_alias, apply_selections=False)
+        run.arrived = arrived
+        result = evaluate_arrived(context.query, fmt, arrived)
 
         contributing = result.all_contributing_nodes()
         shipped = {record.node_id for record in arrived}

@@ -27,9 +27,12 @@ deployment and recovers the redundancy between them:
     per group.  The final phase then runs once per group and each member
     query is evaluated exactly over the group's arrived complete tuples.
 
-With ``share_work=False`` (or ``concurrency=1``) every admitted query runs
-through the unmodified single-query path (:func:`repro.joins.runner.run_snapshot`),
-serially — byte-identical outcomes to issuing the queries one by one, which
+Every epoch runs through SENS-Join's own public phases
+(:meth:`~repro.joins.sensjoin.SensJoin.collect`, ``disseminate``,
+``final``): one group's filter is the one-filter case of the piggybacked
+wave.  With ``share_work=False`` (or ``concurrency=1``) every admitted
+query runs as an epoch of its own, serially — the same sends, costs and
+trace as issuing it through :func:`repro.joins.runner.run_snapshot`, which
 is both the correctness baseline and the denominator of the amortization
 numbers reported by the ``concurrency_study`` experiment.
 
@@ -56,23 +59,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import constants
-from ..codec.quadtree import FlaggedPoint
-from ..codec.setops import intersect_points
 from ..errors import BrokerError
-from ..joins.base import ExecutionContext, FullTupleRecord, TupleFormat, oracle_result
+from ..joins.base import ExecutionContext, TupleFormat, oracle_result
 from ..joins.filterbuild import build_join_filter, compose_filters
-from ..joins.runner import instrumented, make_algorithm, run_snapshot
-from ..joins.sensjoin import PHASE_FILTER, SensJoin, _NodeState
+from ..joins.runner import instrumented
+from ..joins.sensjoin import SensJoin, SensJoinRun, evaluate_arrived
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..obs.timeseries import MetricsSampler, WindowedAggregate
-from ..query.evaluate import JoinResult, Row, evaluate_join
+from ..query.evaluate import JoinResult
 from ..query.query import JoinQuery
 from ..routing.cluster import build_routing_tree
 from ..routing.ctp import reattach_tree
-from ..routing.dissemination import PIGGYBACK_HEADER_BYTES, flood_batch, flood_query
+from ..routing.dissemination import flood_batch
 from ..routing.tree import RoutingTree
 from ..sim.faults import (
     ChurnModel,
@@ -96,8 +97,6 @@ from ..sim.trace import (
     BROKER_SHED,
     FAULT_INJECT,
     FILTER_COMPOSED,
-    FILTER_PIGGYBACK,
-    FILTER_PRUNED,
 )
 from .workloads import QueryRequest
 
@@ -181,11 +180,10 @@ class BrokerConfig:
     """Broker knobs.
 
     ``concurrency`` caps how many queries one batch admits; ``share_work``
-    turns the group/compose/piggyback machinery on (off = the serial
-    single-query reference path); ``engine`` picks the snapshot engine for
-    the no-sharing path; ``disseminate_queries`` additionally floods the
-    admitted queries' text in one piggybacked wave (off by default,
-    matching ``run_snapshot``).
+    turns the group/compose/piggyback machinery on (off = every query runs
+    as an epoch of its own, the serial reference); ``disseminate_queries``
+    additionally floods the admitted queries' text in one piggybacked wave
+    (off by default, matching ``run_snapshot``).
 
     ``deadline`` activates the churn-resilient execution ladder even
     without a churn model; ``admission_depth`` enables overload shedding —
@@ -196,7 +194,6 @@ class BrokerConfig:
 
     concurrency: int = 8
     share_work: bool = True
-    engine: str = "sens-join"
     disseminate_queries: bool = False
     deadline: Optional[DeadlinePolicy] = None
     admission_depth: Optional[int] = None
@@ -270,22 +267,25 @@ class BrokerReport:
 
 
 @dataclass
-class _GroupWave:
-    """One share group's protocol state while its batch executes."""
+class _Group:
+    """One share group inside an epoch: its members, their one protocol
+    run, and the cost only this group caused."""
 
-    requests: List[QueryRequest]
-    engine: SensJoin
-    context: ExecutionContext
-    fmt: TupleFormat
-    states: Dict[int, _NodeState]
-    details: Dict[str, float]
-    composed: FrozenSet[FlaggedPoint] = frozenset()
-    finish_1a: float = 0.0
+    members: List[QueryRequest]
+    run: SensJoinRun
     energy_j: float = 0.0
     tx_packets: float = 0.0
-    #: Set when a protocol phase raised for this group: the wave's members
-    #: surface degraded outcomes instead of aborting the batch.
-    error: Optional[BrokerError] = None
+    #: Set when one of the group's phases raised: its members surface
+    #: degraded outcomes instead of aborting the epoch.
+    error: Optional[Exception] = None
+
+
+def _share_groups(batch: Sequence[QueryRequest]) -> List[List[QueryRequest]]:
+    """The batch partitioned by :func:`sharing_signature`, in admission order."""
+    groups: Dict[Tuple, List[QueryRequest]] = {}
+    for request in batch:
+        groups.setdefault(sharing_signature(request.query), []).append(request)
+    return list(groups.values())
 
 
 class QueryBroker:
@@ -325,6 +325,8 @@ class QueryBroker:
         )
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.tracer = self.telemetry.tracer
+        #: Every epoch runs this engine's phases; it holds no per-query state.
+        self.engine = SensJoin(telemetry=self.telemetry)
         self.tree_seed = tree_seed
         #: Optional time-series sampler (docs/observability.md).  The broker
         #: feeds rolling service-level aggregates (latency percentiles,
@@ -496,23 +498,10 @@ class QueryBroker:
                 start, BASE_STATION_ID, BROKER_BATCH,
                 index=batch_index, size=len(batch), shared=share,
             )
-            if self._resilient:
-                batch_outcomes, stats = self._execute_batch_resilient(
-                    batch, start, batch_index
-                )
-                composed_total += stats["composed_filters"]
-                piggyback_total += stats["piggybacked_broadcasts"]
-                group_total += stats["share_groups"]
-            elif share:
-                batch_outcomes, stats = self._execute_batch_shared(
-                    batch, start, batch_index
-                )
-                composed_total += stats["composed_filters"]
-                piggyback_total += stats["piggybacked_broadcasts"]
-                group_total += stats["share_groups"]
-            else:
-                batch_outcomes = self._execute_batch_serial(batch, start, batch_index)
-                group_total += len(batch)
+            batch_outcomes, stats = self._execute_batch(batch, start, batch_index)
+            composed_total += stats["composed_filters"]
+            piggyback_total += stats["piggybacked_broadcasts"]
+            group_total += stats["share_groups"]
             for outcome in batch_outcomes:
                 total_energy += outcome.energy_share_j
                 total_tx += outcome.tx_share_packets
@@ -600,86 +589,120 @@ class QueryBroker:
             details=details,
         )
 
-    # -- no-sharing reference path -------------------------------------------
+    # -- batch execution: the degradation ladder over epochs ------------------
 
-    def _execute_batch_serial(
+    def _execute_batch(
         self, batch: List[QueryRequest], start: float, batch_index: int
-    ) -> List[QueryOutcome]:
-        """One query at a time through the unmodified single-query path."""
-        outcomes = []
-        clock = start
-        for request in batch:
-            try:
-                outcome = run_snapshot(
-                    self.network,
-                    self.world,
-                    request.query,
-                    algorithm=self.config.engine,
-                    tree=self.tree,
-                    disseminate_query=self.config.disseminate_queries,
-                    telemetry=self.telemetry if self.telemetry.enabled else None,
-                )
-            except Exception as exc:
-                # One query's engine failing must not abort the batch: wrap
-                # the exception and keep executing the remaining queries.
-                error = BrokerError(
-                    f"engine failed for query {request.query_id}: {exc}",
-                    query_id=request.query_id,
-                    cause=exc,
-                )
-                outcomes.append(
-                    QueryOutcome(
-                        request=request,
-                        result=_empty_result(request.query),
-                        admitted_s=start,
-                        completed_s=clock,
-                        latency_s=clock - request.arrival_s,
-                        energy_share_j=self.network.total_energy(),
-                        tx_share_packets=float(
-                            self.network.stats.total_tx_packets()
-                        ),
-                        group_size=1,
-                        batch_index=batch_index,
-                        status="degraded",
-                        recall=0.0,
-                        error=error,
-                    )
-                )
-                continue
-            completed = clock + outcome.response_time_s
-            outcomes.append(
-                QueryOutcome(
-                    request=request,
-                    result=outcome.result,
-                    admitted_s=start,
-                    completed_s=completed,
-                    latency_s=completed - request.arrival_s,
-                    energy_share_j=self.network.total_energy(),
-                    tx_share_packets=float(outcome.total_transmissions),
-                    group_size=1,
-                    batch_index=batch_index,
-                )
-            )
-            clock = completed
-        return outcomes
-
-    # -- shared execution ----------------------------------------------------
-
-    def _execute_batch_shared(
-        self,
-        batch: List[QueryRequest],
-        start: float,
-        batch_index: int,
-        take_snapshot: bool = True,
     ) -> Tuple[List[QueryOutcome], Dict[str, float]]:
-        """One network epoch for the whole batch, with work sharing.
+        """Run one admitted batch as epochs down the degradation ladder.
 
-        ``take_snapshot=False`` is the resilient path: readings were sampled
-        once, pre-churn, and must not be refreshed mid-churn (nodes that
-        moved would re-sample the field at their new position and the
-        outcome would no longer be comparable to the pre-churn oracle).
+        A shared batch runs as one epoch over its share groups.  While an
+        epoch is disrupted (a churn fault landed inside it, or it blew the
+        deadline's budget) it is retried after a seeded exponential backoff;
+        after ``max_retries`` retries the groups split.  An unshared or split
+        batch runs each member as an epoch of its own, back to back; a member
+        whose epoch races a churn fault gets one re-run, accepted as is.
+        Without churn and deadline nothing is ever disrupted, so every first
+        epoch is final.
         """
-        network, tree, world = self.network, self.tree, self.world
+        policy = self.config.deadline or DeadlinePolicy()
+        reg = self.telemetry.registry
+        clock = start
+        attempts = 0
+        if self.config.share_work and len(batch) > 1:
+            groups = _share_groups(batch)
+            backoff = policy.backoff_s
+            for attempt in range(policy.max_retries + 1):
+                self._advance_churn(clock)
+                attempts += 1
+                outcomes, piggybacked = self._run_epoch(groups, clock, clock, batch_index)
+                epoch_end = max(o.completed_s for o in outcomes)
+                timed_out = (
+                    policy.timeout_s is not None
+                    and epoch_end - clock > policy.timeout_s
+                )
+                if not timed_out and not self._churn_between(clock, epoch_end):
+                    for outcome in outcomes:
+                        outcome.attempts = attempts
+                        self._finalize_outcome(outcome)
+                    return outcomes, {
+                        "share_groups": float(len(groups)),
+                        "composed_filters": float(
+                            sum(1 for members in groups if len(members) > 1)
+                        ),
+                        "piggybacked_broadcasts": float(piggybacked),
+                    }
+                self._absorb_aborted_epoch()
+                if attempt == policy.max_retries:
+                    clock = epoch_end
+                    break
+                delay = backoff * (1.0 + self._backoff_rng.random() * 0.5)
+                if self._sampler is not None:
+                    self._retry_window.observe(epoch_end, 1.0)
+                    if timed_out:
+                        self._miss_window.observe(epoch_end, 1.0)
+                self.tracer.emit(
+                    epoch_end, BASE_STATION_ID, BROKER_RETRY,
+                    batch=batch_index, attempt=attempt + 1,
+                    delay_s=round(delay, 6), timed_out=timed_out,
+                )
+                if reg.enabled:
+                    reg.counter("broker_retries_total").inc()
+                clock = epoch_end + delay
+                backoff *= policy.backoff_factor
+            self.tracer.emit(
+                clock, BASE_STATION_ID, BROKER_GROUP_SPLIT,
+                batch=batch_index, size=len(batch),
+            )
+            if reg.enabled:
+                reg.counter("broker_group_splits_total").inc()
+        outcomes = []
+        admitted_s = clock
+        for request in batch:
+            self._advance_churn(clock)
+            [outcome], _ = self._run_epoch([[request]], clock, admitted_s, batch_index)
+            outcome.attempts = attempts + 1
+            if outcome.error is None and self._churn_between(clock, outcome.completed_s):
+                self._absorb_aborted_epoch()
+                self._advance_churn(outcome.completed_s)
+                [outcome], _ = self._run_epoch(
+                    [[request]], outcome.completed_s, admitted_s, batch_index
+                )
+                outcome.attempts = attempts + 2
+            self._finalize_outcome(outcome)
+            outcomes.append(outcome)
+            clock = outcome.completed_s
+        stats = {
+            "share_groups": float(len(batch)),
+            "composed_filters": 0.0,
+            "piggybacked_broadcasts": 0.0,
+        }
+        return outcomes, stats
+
+    def _run_epoch(
+        self,
+        groups: Sequence[List[QueryRequest]],
+        start: float,
+        admitted_s: float,
+        batch_index: int,
+    ) -> Tuple[List[QueryOutcome], int]:
+        """One network epoch through SENS-Join's own phases.
+
+        Each share group runs Join-Attribute-Collection once and unites its
+        members' filters; every group's filter rides one dissemination wave;
+        each group runs its final phase, and every further member is
+        evaluated exactly over the group's arrived tuples.  A phase that
+        raises marks only its own group: its members come back degraded with
+        a :class:`~repro.errors.BrokerError`, the other groups carry on.
+        An epoch of one query is exactly that query's ``run_snapshot``.
+
+        Readings are refreshed at ``start`` unless the resilient ladder is on
+        (its readings were sampled once, pre-churn; see :meth:`run`).
+        Returns the outcomes by query id and how many broadcasts carried
+        more than one group's filter.
+        """
+        network, tree, world, engine = self.network, self.tree, self.world, self.engine
+        requests = [request for members in groups for request in members]
         self._reset_accounting()
         energy_mark = 0.0
         tx_mark = 0.0
@@ -694,384 +717,99 @@ class QueryBroker:
 
         # One piggybacked flood disseminates every admitted query's text.
         if self.config.disseminate_queries:
-            flood_batch(
-                network, [len(r.query.sql().encode()) for r in batch]
-            )
-        if take_snapshot:
+            flood_batch(network, [len(r.query.sql().encode()) for r in requests])
+        if not self._resilient:
             world.take_snapshot(start)
-        diss_energy, diss_tx = take_delta()
+        flood_energy, flood_tx = take_delta()
 
-        # Partition into share groups, in batch (= admission) order.
-        waves: List[_GroupWave] = []
-        by_signature: Dict[Tuple, _GroupWave] = {}
-        for request in batch:
-            key = sharing_signature(request.query)
-            wave = by_signature.get(key)
-            if wave is None:
-                context = ExecutionContext(
-                    network=network, tree=tree, world=world, query=request.query
-                )
-                wave = _GroupWave(
-                    requests=[],
-                    engine=SensJoin(telemetry=self.telemetry),
-                    context=context,
-                    fmt=context.tuple_format(),
-                    states={nid: _NodeState() for nid in tree.node_ids},
-                    details={},
-                )
-                by_signature[key] = wave
-                waves.append(wave)
-            wave.requests.append(request)
-
-        # Phase 1a once per group; per-query filters composed per group.
-        # A group whose protocol raises is quarantined (wave.error): its
-        # members surface degraded outcomes, the other groups keep going.
-        for wave in waves:
-            try:
-                bs_points, finish_1a = wave.engine._collection_phase(
-                    wave.context, wave.fmt, wave.states, False, wave.details
-                )
-                wave.finish_1a = finish_1a
-                per_query = [
-                    build_join_filter(TupleFormat(r.query, world), bs_points)
-                    for r in wave.requests
-                ]
-                wave.composed = compose_filters(per_query)
-            except Exception as exc:
-                wave.error = BrokerError(
-                    f"collection phase failed: {exc}", cause=exc
-                )
-                energy, tx = take_delta()
-                wave.energy_j += energy
-                wave.tx_packets += tx
-                continue
-            self.tracer.emit(
-                finish_1a, BASE_STATION_ID, FILTER_COMPOSED,
-                queries=len(wave.requests), points=len(wave.composed),
+        epoch: List[_Group] = []
+        for members in groups:
+            context = ExecutionContext(
+                network=network, tree=tree, world=world, query=members[0].query
             )
-            energy, tx = take_delta()
-            wave.energy_j += energy
-            wave.tx_packets += tx
+            group = _Group(members, engine.begin(context))
+            epoch.append(group)
+            try:
+                points = engine.collect(group.run)
+                fmt = group.run.fmt
+                group.run.join_filter = compose_filters(
+                    build_join_filter(fmt if index == 0 else TupleFormat(r.query, world), points)
+                    for index, r in enumerate(members)
+                )
+            except Exception as exc:
+                group.error = exc
+            else:
+                if len(members) > 1:
+                    self.tracer.emit(
+                        group.run.finish_s, BASE_STATION_ID, FILTER_COMPOSED,
+                        queries=len(members), points=len(group.run.join_filter),
+                    )
+            group.energy_j, group.tx_packets = take_delta()
 
-        # Phase 1b: all groups' filters ride one pre-order wave.
-        piggybacked = self._disseminate_filters(waves, start_time=max(
-            wave.finish_1a for wave in waves
-        ))
-        energy, tx = take_delta()
-        # Query dissemination + the merged filter wave serve every member
-        # of the batch; their cost is split evenly.
-        shared_share = (energy + diss_energy) / len(batch)
-        shared_tx = (tx + diss_tx) / len(batch)
+        live = [group.run for group in epoch if group.error is None]
+        piggybacked = 0
+        if live:
+            piggybacked = engine.disseminate(
+                live, max(group.run.finish_s for group in epoch)
+            )
+        wave_energy, wave_tx = take_delta()
+        # Query flooding and the filter wave serve the whole batch; their
+        # cost is split evenly.
+        shared_energy = (wave_energy + flood_energy) / len(requests)
+        shared_tx = (wave_tx + flood_tx) / len(requests)
 
-        # Phase 2 once per group; exact per-query evaluation over the
-        # group's arrived complete tuples.
+        overhead = 3 * tree.height * constants.DEFAULT_LEVEL_SLOT_S
         outcomes: List[QueryOutcome] = []
-        for wave in waves:
-            arrived: List[FullTupleRecord] = []
-            finish = wave.finish_1a
-            if wave.error is None:
+        for group in epoch:
+            result: Optional[JoinResult] = None
+            if group.error is None:
                 try:
-                    _, finish = wave.engine._final_phase(
-                        wave.context, wave.fmt, wave.states, wave.details
-                    )
-                    arrived = wave.engine.last_arrived_records
+                    result = engine.final(group.run)
                 except Exception as exc:
-                    wave.error = BrokerError(
-                        f"final phase failed: {exc}", cause=exc
-                    )
+                    group.error = exc
             energy, tx = take_delta()
-            wave.energy_j += energy
-            wave.tx_packets += tx
-            duration = 3 * tree.height * constants.DEFAULT_LEVEL_SLOT_S + finish
-            completed = start + duration
-            for request in wave.requests:
-                if wave.error is not None:
-                    error: Optional[BrokerError] = BrokerError(
-                        str(wave.error),
-                        query_id=request.query_id,
-                        cause=wave.error.cause,
-                    )
-                    result = _empty_result(request.query)
-                else:
+            group.energy_j += energy
+            group.tx_packets += tx
+            completed = start + (overhead + group.run.finish_s)
+            size = len(group.members)
+            for index, request in enumerate(group.members):
+                error = group.error
+                if error is None and index > 0:
                     try:
-                        result = _evaluate_for(request.query, wave.fmt, arrived)
-                        error = None
-                    except Exception as exc:
-                        error = BrokerError(
-                            f"evaluation failed for query {request.query_id}: {exc}",
-                            query_id=request.query_id,
-                            cause=exc,
+                        result = evaluate_arrived(
+                            request.query, group.run.fmt, group.run.arrived
                         )
-                        result = _empty_result(request.query)
+                    except Exception as exc:
+                        error = exc
+                if len(requests) == 1:
+                    # A lone query pays for the whole epoch, read off the ledger.
+                    energy_share = network.total_energy()
+                    tx_share = float(network.stats.total_tx_packets())
+                else:
+                    energy_share = group.energy_j / size + shared_energy
+                    tx_share = group.tx_packets / size + shared_tx
                 outcomes.append(
                     QueryOutcome(
                         request=request,
-                        result=result,
-                        admitted_s=start,
+                        result=result if error is None else _empty_result(request.query),
+                        admitted_s=admitted_s,
                         completed_s=completed,
                         latency_s=completed - request.arrival_s,
-                        energy_share_j=wave.energy_j / len(wave.requests)
-                        + shared_share,
-                        tx_share_packets=wave.tx_packets / len(wave.requests)
-                        + shared_tx,
-                        group_size=len(wave.requests),
+                        energy_share_j=energy_share,
+                        tx_share_packets=tx_share,
+                        group_size=size,
                         batch_index=batch_index,
                         status="completed" if error is None else "degraded",
                         recall=1.0 if error is None else 0.0,
-                        error=error,
+                        error=None if error is None else BrokerError(
+                            f"query {request.query_id} failed: {error}",
+                            query_id=request.query_id,
+                            cause=error,
+                        ),
                     )
                 )
         outcomes.sort(key=lambda o: o.request.query_id)
-        stats = {
-            "share_groups": float(len(waves)),
-            "composed_filters": float(
-                sum(1 for wave in waves if len(wave.requests) > 1)
-            ),
-            "piggybacked_broadcasts": float(piggybacked),
-        }
-        return outcomes, stats
-
-    def _disseminate_filters(
-        self, waves: List[_GroupWave], start_time: float
-    ) -> int:
-        """Pre-order filter dissemination with cross-group piggybacking.
-
-        Mirrors :meth:`SensJoin._filter_phase` per group — Selective Filter
-        Forwarding prunes each group's filter independently — but at every
-        node the surviving filters are concatenated (plus a per-filter
-        header) into a single broadcast to the union of the groups' awake
-        children.  Returns how many broadcasts carried more than one
-        group's filter.
-        """
-        tree = self.tree
-        channel = self.network.channel
-        piggybacked = 0
-        for wave in waves:
-            bs_state = wave.states[BASE_STATION_ID]
-            bs_state.filter_received = wave.composed
-            bs_state.filter_arrival = start_time
-        for node_id in tree.pre_order():
-            sendable: List[Tuple[_GroupWave, FrozenSet[FlaggedPoint], List[int]]] = []
-            departure = start_time
-            for wave in waves:
-                state = wave.states[node_id]
-                if state.exited:
-                    continue
-                incoming = state.filter_received
-                if incoming is None or not incoming:
-                    continue
-                awake = [
-                    c for c in tree.children(node_id) if not wave.states[c].exited
-                ]
-                if not awake:
-                    continue
-                if state.subtree_atts is not None:
-                    pruned = intersect_points(incoming, state.subtree_atts)
-                else:
-                    pruned = incoming
-                if not pruned:
-                    self.tracer.emit(state.filter_arrival, node_id, FILTER_PRUNED)
-                    continue
-                sendable.append((wave, pruned, awake))
-                departure = max(departure, state.filter_arrival)
-            if not sendable:
-                continue
-            receivers = sorted({c for _, _, awake in sendable for c in awake})
-            payload = sum(
-                wave.engine._filter_bytes(wave.fmt, pruned)
-                for wave, pruned, _ in sendable
-            )
-            if len(sendable) > 1:
-                payload += PIGGYBACK_HEADER_BYTES * len(sendable)
-                piggybacked += 1
-                self.tracer.emit(
-                    departure, node_id, FILTER_PIGGYBACK,
-                    filters=len(sendable), bytes=payload,
-                )
-            channel.broadcast(node_id, receivers, payload, PHASE_FILTER)
-            arrival = departure + channel.last_send_latency_s
-            for wave, pruned, awake in sendable:
-                for child in awake:
-                    wave.states[child].filter_received = pruned
-                    wave.states[child].filter_arrival = arrival
-        return piggybacked
-
-    # -- churn-resilient execution ladder ------------------------------------
-
-    def _execute_batch_resilient(
-        self, batch: List[QueryRequest], start: float, batch_index: int
-    ) -> Tuple[List[QueryOutcome], Dict[str, float]]:
-        """The degradation ladder for one batch under churn.
-
-        Rung 1: shared execution, retried with seeded exponential backoff
-        while epochs are disrupted (a churn fault landed mid-epoch, or the
-        deadline's wall-clock budget was blown).  Rung 2: the share group
-        splits — members re-execute independently, each getting at most one
-        extra re-run if churn races its serial epoch too.  Every admitted
-        query terminates with a recall-stamped outcome.
-        """
-        policy = self.config.deadline or DeadlinePolicy()
-        reg = self.telemetry.registry
-        self._advance_churn(start)
-        share = self.config.share_work and len(batch) > 1
-        attempts = 0
-        clock = start
-        if share:
-            backoff = policy.backoff_s
-            attempt_start = start
-            for attempt in range(policy.max_retries + 1):
-                attempts += 1
-                try:
-                    outcomes, stats = self._execute_batch_shared(
-                        batch, attempt_start, batch_index, take_snapshot=False
-                    )
-                except Exception:
-                    # An epoch-level failure outside the per-wave isolation:
-                    # the attempt's traffic is sunk cost, drop to the split
-                    # rung (a deterministic protocol error would only repeat
-                    # under retry).
-                    self._absorb_aborted_epoch()
-                    clock = attempt_start
-                    break
-                epoch_end = max(o.completed_s for o in outcomes)
-                timed_out = (
-                    policy.timeout_s is not None
-                    and epoch_end - attempt_start > policy.timeout_s
-                )
-                if not timed_out and not self._churn_between(
-                    attempt_start, epoch_end
-                ):
-                    for outcome in outcomes:
-                        outcome.attempts = attempts
-                        self._finalize_outcome(outcome)
-                    return outcomes, stats
-                self._absorb_aborted_epoch()
-                clock = epoch_end
-                if attempt == policy.max_retries:
-                    break
-                delay = backoff * (1.0 + self._backoff_rng.random() * 0.5)
-                if self._sampler is not None:
-                    self._retry_window.observe(epoch_end, 1.0)
-                    if timed_out:
-                        self._miss_window.observe(epoch_end, 1.0)
-                self.tracer.emit(
-                    epoch_end, BASE_STATION_ID, BROKER_RETRY,
-                    batch=batch_index, attempt=attempt + 1,
-                    delay_s=round(delay, 6), timed_out=timed_out,
-                )
-                if reg.enabled:
-                    reg.counter("broker_retries_total").inc()
-                attempt_start = epoch_end + delay
-                backoff *= policy.backoff_factor
-                self._advance_churn(attempt_start)
-            self.tracer.emit(
-                clock, BASE_STATION_ID, BROKER_GROUP_SPLIT,
-                batch=batch_index, size=len(batch),
-            )
-            if reg.enabled:
-                reg.counter("broker_group_splits_total").inc()
-        outcomes = self._execute_split(batch, clock, batch_index, attempts)
-        stats = {
-            "share_groups": float(len(batch)),
-            "composed_filters": 0.0,
-            "piggybacked_broadcasts": 0.0,
-        }
-        return outcomes, stats
-
-    def _execute_split(
-        self,
-        batch: List[QueryRequest],
-        start: float,
-        batch_index: int,
-        prior_attempts: int,
-    ) -> List[QueryOutcome]:
-        """Members run independently; one disrupted run earns one re-run.
-
-        The final rung of the ladder is bounded: a member whose serial epoch
-        races a churn fault is re-executed once over the healed topology and
-        that result is accepted as-is (its recall says how partial it is).
-        """
-        outcomes = []
-        clock = start
-        for request in batch:
-            self._advance_churn(clock)
-            attempts = prior_attempts + 1
-            result, response_s, energy, tx, error = self._run_single_guarded(
-                request
-            )
-            completed = clock + response_s
-            if error is None and self._churn_between(clock, completed):
-                self._absorb_aborted_epoch()
-                self._advance_churn(completed)
-                attempts += 1
-                result, response_s, energy, tx, error = (
-                    self._run_single_guarded(request)
-                )
-                completed = completed + response_s
-            outcome = QueryOutcome(
-                request=request,
-                result=result,
-                admitted_s=start,
-                completed_s=completed,
-                latency_s=completed - request.arrival_s,
-                energy_share_j=energy,
-                tx_share_packets=tx,
-                group_size=1,
-                batch_index=batch_index,
-                attempts=attempts,
-                error=error,
-            )
-            self._finalize_outcome(outcome)
-            outcomes.append(outcome)
-            clock = completed
-        return outcomes
-
-    def _run_single_guarded(
-        self, request: QueryRequest
-    ) -> Tuple[JoinResult, float, float, float, Optional[BrokerError]]:
-        """One query on the current (possibly churned) topology.
-
-        Mirrors :func:`~repro.joins.runner.run_snapshot` minus the snapshot
-        (readings stay pre-churn, see :meth:`run`) and never raises: an
-        engine exception comes back as a typed
-        :class:`~repro.errors.BrokerError` with an empty result.  Returns
-        ``(result, response_time_s, energy_j, tx_packets, error)``.
-        """
-        network = self.network
-        self._reset_accounting()
-        telemetry = self.telemetry if self.telemetry.enabled else None
-        try:
-            algo = make_algorithm(self.config.engine)
-            if telemetry is not None:
-                algo.instrument(telemetry)
-            with instrumented(network, telemetry):
-                if self.config.disseminate_queries:
-                    flood_query(network, len(request.query.sql().encode()))
-                context = ExecutionContext(
-                    network=network, tree=self.tree,
-                    world=self.world, query=request.query,
-                )
-                join_outcome = algo.execute(context)
-        except Exception as exc:
-            error = BrokerError(
-                f"engine failed for query {request.query_id}: {exc}",
-                query_id=request.query_id,
-                cause=exc,
-            )
-            return (
-                _empty_result(request.query),
-                0.0,
-                network.total_energy(),
-                float(network.stats.total_tx_packets()),
-                error,
-            )
-        return (
-            join_outcome.result,
-            join_outcome.response_time_s,
-            network.total_energy(),
-            float(join_outcome.total_transmissions),
-            None,
-        )
+        return outcomes, piggybacked
 
     # -- churn replay and bookkeeping ----------------------------------------
 
@@ -1153,7 +891,7 @@ class QueryBroker:
 
     def _finalize_outcome(self, outcome: QueryOutcome) -> None:
         """Stamp terminal status and recall against the pre-churn oracle."""
-        if outcome.status == "shed":
+        if not self._resilient or outcome.status == "shed":
             return
         if outcome.error is not None:
             outcome.status = "degraded"
@@ -1195,21 +933,3 @@ def _empty_result(query: JoinQuery) -> JoinResult:
     """The zero-match result shape for degraded and shed outcomes."""
     return JoinResult.from_lists(tuple(query.aliases), [], [])
 
-
-def _evaluate_for(
-    query: JoinQuery, fmt: TupleFormat, arrived: List[FullTupleRecord]
-) -> JoinResult:
-    """Exact evaluation of one member query over the group's arrived tuples.
-
-    ``fmt`` is the group representative's format; the sharing signature
-    guarantees identical aliases and flag bits across the group, so the
-    alias routing below is valid for every member.  Selections were already
-    applied at acquisition time (identical within the group), hence
-    ``apply_selections=False`` — the same contract as the single-query
-    final phase.
-    """
-    tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-    for record in arrived:
-        for alias in fmt.aliases_of_flags(record.flags):
-            tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
-    return evaluate_join(query, tuples_by_alias, apply_selections=False)

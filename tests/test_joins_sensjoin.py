@@ -147,7 +147,7 @@ class TestTreecut:
 
     def test_dmax_bounds_proxy_memory(self, small_network, small_world, tail_query):
         """Invariant 8: proxy storage <= D_max per child (§IV-B)."""
-        from repro.joins.base import ExecutionContext, TupleFormat
+        from repro.joins.base import ExecutionContext
         from repro.routing.ctp import build_tree
 
         query = tail_query(1.5)
@@ -156,15 +156,13 @@ class TestTreecut:
         small_world.take_snapshot(0.0)
         algo = SensJoin()
         context = ExecutionContext(small_network, tree, small_world, query)
-        fmt = TupleFormat(query, small_world)
-        states = {node_id: None for node_id in tree.node_ids}
 
-        # Run the collection phase alone and inspect internal state.
-        internal_states = {nid: __import__("repro.joins.sensjoin", fromlist=["_NodeState"])._NodeState() for nid in tree.node_ids}
-        details = {}
-        algo._collection_phase(context, fmt, internal_states, False, details)
+        # Run the collection phase alone and inspect the per-node state.
+        run = algo.begin(context)
+        algo.collect(run)
+        fmt = run.fmt
         dmax = algo.config.dmax_bytes
-        for node_id, state in internal_states.items():
+        for node_id, state in run.states.items():
             if node_id == tree.root or state.exited:
                 continue
             children = len(tree.children(node_id))
@@ -229,3 +227,36 @@ class TestDiagnostics:
     def test_algorithm_name_reflects_representation(self):
         assert SensJoin().name == "sens-join"
         assert SensJoin(SensJoinConfig(representation="raw")).name == "sens-join[raw]"
+
+
+class TestFilterWave:
+    def test_filters_of_two_runs_share_one_wave(
+        self, small_network, small_world, tail_query
+    ):
+        """One filter costs its own bytes; two ride the same broadcasts, each
+        framed by a piggyback header."""
+        from repro.joins.base import ExecutionContext
+        from repro.routing.ctp import build_tree
+        from repro.routing.dissemination import PIGGYBACK_HEADER_BYTES
+
+        tree = build_tree(small_network, seed=11)
+        small_world.take_snapshot(0.0)
+        algo = SensJoin()
+
+        def wave(count):
+            runs = []
+            for _ in range(count):
+                context = ExecutionContext(small_network, tree, small_world, tail_query(1.5))
+                run = algo.begin(context)
+                run.join_filter = algo.build_filter(run.fmt, algo.collect(run))
+                runs.append(run)
+            small_network.reset_accounting()
+            piggybacked = algo.disseminate(runs, 0.0)
+            return piggybacked, small_network.stats.total_tx_bytes([PHASE_FILTER]), runs
+
+        single, single_bytes, (run,) = wave(1)
+        double, double_bytes, _ = wave(2)
+        broadcasts = run.details["filter_broadcasts"]
+        assert single == 0 and broadcasts > 0
+        assert double == broadcasts
+        assert double_bytes == 2 * single_bytes + 2 * PIGGYBACK_HEADER_BYTES * broadcasts

@@ -26,7 +26,6 @@ from repro.obs.telemetry import Telemetry
 from repro.query.parser import parse_query
 from repro.routing.ctp import build_tree
 from repro.errors import BrokerError
-from repro.joins.base import JoinAlgorithm
 from repro.service import (
     BrokerConfig,
     DeadlinePolicy,
@@ -181,11 +180,7 @@ def test_compose_filters_is_superset_union(deployment):
     queries = [_tail(1.0), _tail(1.6)]
     context = ExecutionContext(network=network, tree=tree, world=world, query=queries[0])
     engine = SensJoin()
-    fmt = context.tuple_format()
-    from repro.joins.sensjoin import _NodeState
-
-    states = {nid: _NodeState() for nid in tree.node_ids}
-    bs_points, _ = engine._collection_phase(context, fmt, states, False, {})
+    bs_points = engine.collect(engine.begin(context))
     per_query = [
         build_join_filter(ExecutionContext(network=network, tree=tree, world=world, query=q).tuple_format(), bs_points)
         for q in queries
@@ -463,35 +458,28 @@ def test_filter_override_superset_keeps_des_sensjoin_exact(deployment):
 # -- resilience: error isolation, deadlines, shedding ------------------------
 
 
-class _FlakyEngine(JoinAlgorithm):
-    """Delegates to SensJoin but raises on one chosen call (1-based)."""
-
-    name = "flaky"
-
-    def __init__(self, fail_on: int):
-        self._fail_on = fail_on
-        self.calls = 0
-
-    def execute(self, context):
-        self.calls += 1
-        if self.calls == self._fail_on:
-            raise RuntimeError("injected engine fault")
-        return SensJoin().execute(context)
-
-
-def test_engine_fault_does_not_abort_serial_batch(deployment, templates):
+def test_engine_fault_does_not_abort_serial_batch(deployment, templates, monkeypatch):
     network, world, tree = deployment
     requests = _simultaneous(templates)
+    collect = SensJoin.collect
+    calls = []
+
+    def flaky_collect(self, run):
+        """SensJoin's collection, raising on the second call."""
+        calls.append(run)
+        if len(calls) == 2:
+            raise RuntimeError("injected engine fault")
+        return collect(self, run)
+
+    monkeypatch.setattr(SensJoin, "collect", flaky_collect)
     telemetry = Telemetry.capture()
     broker = QueryBroker(
         network, world,
-        BrokerConfig(
-            concurrency=len(requests), share_work=False,
-            engine=_FlakyEngine(fail_on=2),
-        ),
+        BrokerConfig(concurrency=len(requests), share_work=False),
         tree=tree, telemetry=telemetry,
     )
     report = broker.run(requests)
+    monkeypatch.undo()
     assert [o.status for o in report.outcomes] == [
         "completed", "degraded", "completed"
     ]

@@ -22,8 +22,8 @@ The pre-computation can therefore be made incremental:
   silence means "reuse the cached filter" (the phases are globally
   scheduled, so silence is unambiguous).
 * **Final phase unchanged.**  Result tuples must flow every round — the
-  raw values drift even when the quantized points do not — so step 2 runs
-  exactly as in the snapshot protocol.
+  raw values drift even when the quantized points do not — so step 2 is
+  the snapshot protocol's own :meth:`~repro.joins.sensjoin.SensJoin.final`.
 
 Every round's result is still exactly the external join of that round's
 snapshot (the same conservative-filter argument as for the snapshot
@@ -41,17 +41,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from .. import constants
 from ..codec.quadtree import FlaggedPoint
-from ..codec.setops import union_points
+from ..codec.setops import intersect_points, union_points
 from ..data.relations import SensorWorld
 from ..query.query import JoinQuery
 from ..routing.ctp import build_tree
 from ..routing.tree import RoutingTree
 from ..sim.network import Network
 from ..sim.node import BASE_STATION_ID
-from .base import FullTupleRecord, JoinOutcome, TupleFormat, node_tuple
+from .base import ExecutionContext, FullTupleRecord, JoinOutcome, TupleFormat, node_tuple
 from .filterbuild import build_join_filter
-from .sensjoin import PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL, SensJoin, SensJoinConfig
+from .sensjoin import (
+    PHASE_COLLECTION,
+    PHASE_FILTER,
+    SensJoin,
+    SensJoinConfig,
+    SensJoinRun,
+    _NodeState,
+)
 
 __all__ = ["IncrementalSensJoin", "DELTA_HEADER_BYTES"]
 
@@ -112,6 +120,8 @@ class IncrementalSensJoin:
         self.config = config
         self.tree = tree if tree is not None else build_tree(network, seed=tree_seed)
         self.fmt = TupleFormat(query, world)
+        #: Step 2 is the snapshot protocol's own final phase.
+        self._engine = SensJoin(config)
         self.caches: Dict[int, _NodeCache] = {
             node_id: _NodeCache() for node_id in self.tree.node_ids
         }
@@ -124,28 +134,40 @@ class IncrementalSensJoin:
         network, tree, fmt = self.network, self.tree, self.fmt
         network.reset_accounting()
         self.world.take_snapshot(snapshot_time)
-        details: Dict[str, float] = {"round": float(self.round_index)}
+        context = ExecutionContext(network, tree, self.world, self.query)
+        run = SensJoinRun(
+            context, fmt, {node_id: _NodeState() for node_id in tree.node_ids},
+            details={"round": float(self.round_index)},
+        )
+        details = run.details
 
-        records, own_points, proxy_map = self._collection_phase(details)
+        self._collection_phase(run)
 
         bs_cache = self.caches[BASE_STATION_ID]
         bs_points: FrozenSet[FlaggedPoint] = frozenset()
         for points in bs_cache.child_sets.values():
             bs_points = union_points(bs_points, points)
-        bs_points = union_points(bs_points, self._project(proxy_map[BASE_STATION_ID]))
+        bs_points = union_points(
+            bs_points, self._project(run.states[BASE_STATION_ID].proxy_records)
+        )
 
-        join_filter = build_join_filter(fmt, bs_points)
-        details["filter_points"] = float(len(join_filter))
+        run.join_filter = build_join_filter(fmt, bs_points)
+        details["filter_points"] = float(len(run.join_filter))
 
-        filter_at = self._filter_phase(join_filter, details)
+        self._filter_phase(run)
 
-        outcome = self._final_phase(records, own_points, proxy_map, filter_at, details)
+        result = self._engine.final(run)
         details["cache_bytes_max"] = float(
             max(cache.size_bytes(fmt) for cache in self.caches.values())
         )
-        outcome.details.update(details)
         self.round_index += 1
-        return outcome
+        return JoinOutcome(
+            algorithm="sens-join[incremental]",
+            result=result,
+            stats=network.stats,
+            response_time_s=3 * tree.height * constants.DEFAULT_LEVEL_SLOT_S,
+            details=details,
+        )
 
     # -- phase 1a: delta collection --------------------------------------------------
 
@@ -176,15 +198,13 @@ class IncrementalSensJoin:
             return delta, "delta"
         return full, "full"
 
-    def _collection_phase(self, details: Dict[str, float]):
+    def _collection_phase(self, run: SensJoinRun) -> None:
         network, tree, fmt = self.network, self.tree, self.fmt
         channel = network.channel
+        states, details = run.states, run.details
         first_round = self.round_index == 0
         treecut_enabled = self.config.dmax_bytes > 0
 
-        records: Dict[int, Optional[FullTupleRecord]] = {}
-        own_points: Dict[int, Optional[FlaggedPoint]] = {}
-        proxy_map: Dict[int, List[FullTupleRecord]] = {}
         full_up: Dict[int, List[FullTupleRecord]] = {}
         full_bytes_up: Dict[int, int] = {}
         delta_messages = 0
@@ -192,6 +212,7 @@ class IncrementalSensJoin:
 
         for node_id in tree.post_order():
             cache = self.caches[node_id]
+            state = states[node_id]
             children = tree.children(node_id)
 
             received_full: List[FullTupleRecord] = []
@@ -205,16 +226,16 @@ class IncrementalSensJoin:
                     all_children_full = False
 
             record, flags = node_tuple(fmt, node_id)
-            records[node_id] = record
-            own_points[node_id] = (
-                (flags, fmt.quantizer.encode({k: record.values[k] for k in fmt.join_attributes}))
-                if record is not None
-                else None
-            )
+            state.record = record
+            if record is not None:
+                state.own_point = (
+                    flags,
+                    fmt.quantizer.encode({k: record.values[k] for k in fmt.join_attributes}),
+                )
             own_bytes = fmt.full_tuple_bytes if record is not None else 0
 
             if node_id == BASE_STATION_ID:
-                proxy_map[node_id] = received_full
+                state.proxy_records = received_full
                 continue
 
             # Treecut membership is decided in round 0 and frozen: the byte
@@ -225,6 +246,7 @@ class IncrementalSensJoin:
                     and all_children_full
                     and received_full_bytes + own_bytes <= self.config.dmax_bytes
                 )
+            state.exited = cache.exited
             if cache.exited:
                 payload_records = received_full + ([record] if record else [])
                 payload_bytes = fmt.full_tuples_bytes(len(payload_records))
@@ -233,13 +255,13 @@ class IncrementalSensJoin:
                 full_bytes_up[node_id] = payload_bytes
                 continue
 
-            proxy_map[node_id] = received_full
+            state.proxy_records = received_full
             current: FrozenSet[FlaggedPoint] = frozenset()
             for points in cache.child_sets.values():
                 current = union_points(current, points)
             current = union_points(current, self._project(received_full))
-            if own_points[node_id] is not None:
-                current = union_points(current, [own_points[node_id]])
+            if state.own_point is not None:
+                current = union_points(current, [state.own_point])
 
             payload_bytes, kind = self._payload_bytes(current, cache.last_sent)
             if kind == "unchanged":
@@ -253,16 +275,14 @@ class IncrementalSensJoin:
 
         details["collection_delta_messages"] = float(delta_messages)
         details["collection_unchanged_subtrees"] = float(unchanged_subtrees)
-        return records, own_points, proxy_map
 
     # -- phase 1b: filter with change suppression -------------------------------------
 
-    def _filter_phase(self, join_filter, details):
-        from ..codec.setops import intersect_points
-
+    def _filter_phase(self, run: SensJoinRun) -> None:
         network, tree = self.network, self.tree
         channel = network.channel
-        filter_at: Dict[int, FrozenSet[FlaggedPoint]] = {BASE_STATION_ID: join_filter}
+        states = run.states
+        states[BASE_STATION_ID].filter_received = run.join_filter
         broadcasts = 0
         suppressed = 0
 
@@ -270,101 +290,28 @@ class IncrementalSensJoin:
             cache = self.caches[node_id]
             if cache.exited:
                 continue
-            incoming = filter_at.get(node_id)
             awake_children = [
                 child for child in tree.children(node_id) if not self.caches[child].exited
             ]
             if not awake_children:
                 continue
-            if incoming is None:
-                incoming = frozenset()
+            incoming = states[node_id].filter_received or frozenset()
             subtree_points: FrozenSet[FlaggedPoint] = frozenset()
             for points in cache.child_sets.values():
                 subtree_points = union_points(subtree_points, points)
             subtree_filter = intersect_points(incoming, subtree_points)
+            for child in awake_children:
+                states[child].filter_received = subtree_filter
             if subtree_filter == (cache.last_filter_broadcast or frozenset()):
                 # Unchanged since last round: children reuse their cache.
                 suppressed += 1
-                for child in awake_children:
-                    filter_at[child] = subtree_filter
                 continue
             cache.last_filter_broadcast = subtree_filter
-            for child in awake_children:
-                filter_at[child] = subtree_filter
             if subtree_filter:
                 payload = DELTA_HEADER_BYTES + self.fmt.encoded_points_bytes(subtree_filter)
             else:
                 payload = DELTA_HEADER_BYTES  # explicit "filter now empty"
             channel.broadcast(node_id, awake_children, payload, PHASE_FILTER)
             broadcasts += 1
-        details["filter_broadcasts"] = float(broadcasts)
-        details["filter_suppressed"] = float(suppressed)
-        return filter_at
-
-    # -- phase 2: unchanged ----------------------------------------------------------
-
-    def _final_phase(self, records, own_points, proxy_map, filter_at, details):
-        from ..query.evaluate import Row, evaluate_join
-
-        network, tree, fmt = self.network, self.tree, self.fmt
-        channel = network.channel
-        carried: Dict[int, List[FullTupleRecord]] = {}
-        carried_bytes: Dict[int, int] = {}
-
-        for node_id in tree.post_order():
-            cache = self.caches[node_id]
-            if cache.exited:
-                continue
-            payload = 0
-            collected: List[FullTupleRecord] = []
-            for child in tree.children(node_id):
-                if self.caches[child].exited:
-                    continue
-                payload += carried_bytes.pop(child, 0)
-                collected.extend(carried.pop(child, []))
-
-            if node_id == BASE_STATION_ID:
-                collected.extend(proxy_map[node_id])
-                carried[node_id] = collected
-                continue
-
-            incoming = filter_at.get(node_id) or frozenset()
-            filter_flags: Dict[int, int] = {}
-            for flags, z in incoming:
-                filter_flags[z] = filter_flags.get(z, 0) | flags
-            matched: List[FullTupleRecord] = []
-            record = records[node_id]
-            own_point = own_points[node_id]
-            if record is not None and own_point is not None:
-                if filter_flags.get(own_point[1], 0) & own_point[0]:
-                    matched.append(record)
-            for proxied in proxy_map.get(node_id, []):
-                join_values = {k: proxied.values[k] for k in fmt.join_attributes}
-                z = fmt.quantizer.encode(join_values)
-                if filter_flags.get(z, 0) & proxied.flags:
-                    matched.append(proxied)
-            collected.extend(matched)
-            payload += fmt.full_tuples_bytes(len(matched))
-            channel.unicast(node_id, tree.parent(node_id), payload, PHASE_FINAL)
-            carried[node_id] = collected
-            carried_bytes[node_id] = payload
-
-        arrived = carried[BASE_STATION_ID]
-        tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-        for record in arrived:
-            for alias in fmt.aliases_of_flags(record.flags):
-                tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
-        result = evaluate_join(self.query, tuples_by_alias, apply_selections=False)
-        details["final_tuples_shipped"] = float(len(arrived))
-
-        height = tree.height
-        from .. import constants
-
-        response = 3 * height * constants.DEFAULT_LEVEL_SLOT_S
-        return JoinOutcome(
-            algorithm="sens-join[incremental]",
-            result=result,
-            stats=network.stats,
-            response_time_s=response,
-            details={},
-        )
+        run.details["filter_broadcasts"] = float(broadcasts)
+        run.details["filter_suppressed"] = float(suppressed)

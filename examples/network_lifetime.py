@@ -36,10 +36,8 @@ def lifetime_study() -> None:
     results = {}
     for algorithm in ("external-join", "sens-join"):
         outcome = run_snapshot(network, world, query, algorithm, tree_seed=5)
-        worst = max(
-            (network.nodes[n].ledger.total_energy, n)
-            for n in network.sensor_node_ids
-        )
+        spent = network.energy_by_node()
+        worst = max((spent[n], n) for n in network.sensor_node_ids)
         results[algorithm] = (outcome, worst)
         print(
             f"{algorithm:14s}: {outcome.total_transmissions:5d} tx total, "

@@ -18,9 +18,11 @@ Three subcommands (full guide: ``docs/benchmarking.md``):
     without re-running anything.
 
 ``perf`` / ``trend``
-    Time the codec/kernel/e2e hot paths against the latest committed
+    Time the codec/kernel/scale micro kernels against the latest committed
     ``BENCH_<n>.json`` snapshot, and render the whole snapshot history as
     per-kernel sparklines (``trend --check`` validates the history).
+    End-to-end timing is the repo's benchmark (``BENCHMARK.json``,
+    ``benchmarks/e2e/run.py``), not a subcommand here.
 
 Results land under ``--results-dir`` (default ``benchmarks/results``):
 ``<experiment>.csv`` per experiment, ``series.json`` (the lossless bundle
@@ -277,7 +279,7 @@ def _cmd_trend(args: argparse.Namespace) -> int:
     if not history:
         print(
             "no BENCH_<n>.json snapshots found — run "
-            "`python -m repro.bench perf --save` to start a history",
+            "`python -m repro.bench perf` to start a history",
             file=sys.stderr,
         )
         return 2 if args.check else 0
@@ -296,7 +298,7 @@ def _cmd_trend(args: argparse.Namespace) -> int:
     if len(loaded) < 2:
         print(
             f"{len(loaded)} readable snapshot(s) — a trend needs at least 2; "
-            "run `python -m repro.bench perf --save` to add a point"
+            "run `python -m repro.bench perf` to add a point"
         )
         return 0
 
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = commands.add_parser(
         "perf",
-        help="time codec/kernel/e2e hot paths; write BENCH_<n>.json snapshots",
+        help="time codec/kernel/scale micro kernels; write BENCH_<n>.json snapshots",
     )
     from .perf import add_perf_arguments
 

@@ -1422,7 +1422,7 @@ def churn_study(
     :func:`~repro.routing.ctp.reattach_tree`.  Reported per sweep point:
     terminal status counts, recall against the pre-churn lossless oracle,
     latency percentiles, and the repair overhead (beacons plus energy)
-    charged to the ledger.
+    recorded in the statistics store.
 
     Churn mutates the topology, so every cell runs on a *fresh*
     deployment (the cached scenario is used read-only, for calibration).

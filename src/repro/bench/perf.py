@@ -1,7 +1,7 @@
-"""Perf suite: micro kernels, DES throughput, end-to-end joins, snapshots.
+"""Perf suite: micro kernels, DES throughput, scale micros, snapshots.
 
-``python -m repro.bench perf`` establishes the repo's performance
-trajectory.  One run times three layers:
+``python -m repro.bench perf`` establishes the repo's micro-kernel
+performance trajectory.  One run times three layers:
 
 * **codec micros** — the §V pipeline kernels (quantize, Z-curve
   interleave/deinterleave, BitWriter assembly, quadtree
@@ -12,9 +12,11 @@ trajectory.  One run times three layers:
   bucketed queue exists for);
 * **scale micros** — the spatial grid index behind the 10k-100k node
   deployments (bulk build, 3x3-cell range queries, churn moves) and the
-  full adjacency build against its pinned dense-``numpy`` reference;
-* **end-to-end** — ``sens-join`` and ``des-sensjoin`` snapshot queries at
-  three network sizes via the standard scenario builder.
+  full adjacency build against its pinned dense-``numpy`` reference.
+
+End-to-end query timing is not part of this suite: it is the repo's
+benchmark, declared in ``BENCHMARK.json`` and run by
+``benchmarks/e2e/run.py``.
 
 Every run appends a versioned snapshot ``BENCH_<n>.json`` (schema
 :data:`SCHEMA`) under the results directory and prints deltas against the
@@ -22,12 +24,8 @@ previous snapshot (or ``--baseline``).  Raw ns/op is machine-bound, so
 each entry also carries a **score**: ns/op divided by the ns/op of a
 fixed pure-Python spin loop timed in the same process.  The regression
 gate (``--check``) compares scores, not wall times, and only for the
-*tracked* micro kernels (codec, kernel and scale groups) — end-to-end
-timings and set-operation micros are informational.
-
-``--quick`` keeps every workload shape identical and only lowers the
-repeat counts, so a quick CI run gates validly against a committed
-full-run baseline.
+*tracked* micro kernels (codec, kernel and scale groups) — set-operation
+micros are informational.
 """
 
 from __future__ import annotations
@@ -74,10 +72,6 @@ _SNAPSHOT_RE = re.compile(r"^BENCH_(\d+)\.json$")
 #: CLI module re-executes when imported under its real name from ``-m`` runs).
 DEFAULT_RESULTS_DIR = Path("benchmarks") / "results"
 
-#: End-to-end matrix: every engine at every node count.
-E2E_ENGINES = ("sens-join", "des-sensjoin")
-E2E_NODE_COUNTS = (50, 200, 600)
-
 
 # -- measurement --------------------------------------------------------------
 
@@ -92,7 +86,7 @@ class Bench:
     run: Callable[[], Any]
     #: The pinned pre-optimization twin, if the kernel has one.
     reference: Optional[Callable[[], Any]] = None
-    #: Entries outside the regression gate (setops, e2e) set this False.
+    #: Entries outside the regression gate (setops) set this False.
     tracked: bool = True
 
     @property
@@ -379,41 +373,13 @@ def _scale_benches() -> List[Bench]:
     return benches
 
 
-def _e2e_benches() -> List[Bench]:
-    from ..joins.runner import run_snapshot
-    from .workloads import build_scenario, ratio_query_builder
-
-    benches: List[Bench] = []
-    # A fixed Q1-style threshold (as `repro.obs record` uses) keeps the
-    # suite self-contained: no calibration bisection in the timed path.
-    query = ratio_query_builder(1, 3)(6.0)
-    for node_count in E2E_NODE_COUNTS:
-        for engine in E2E_ENGINES:
-
-            def run(engine: str = engine, node_count: int = node_count) -> None:
-                scenario = build_scenario(node_count=node_count, seed=0)
-                run_snapshot(
-                    scenario.network,
-                    scenario.world,
-                    query,
-                    engine,
-                    tree=scenario.tree,
-                    tree_seed=scenario.seed,
-                )
-
-            benches.append(
-                Bench("e2e", f"{engine}_n{node_count}", 1, run, tracked=False)
-            )
-    return benches
-
-
 def build_suite(only: Optional[Sequence[str]] = None) -> List[Bench]:
     """The full bench list, optionally filtered by ``group.name`` globs.
 
     A pattern that matches nothing raises :class:`ValueError` naming the
     available keys (mirroring the experiment harness's selection errors).
     """
-    suite = _codec_benches() + _kernel_benches() + _scale_benches() + _e2e_benches()
+    suite = _codec_benches() + _kernel_benches() + _scale_benches()
     if not only:
         return suite
     keys = [bench.key for bench in suite]
@@ -563,11 +529,6 @@ def _format_ns(ns: float) -> str:
 def add_perf_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the ``perf`` subcommand's arguments (shared with tests)."""
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="same workload shapes, fewer end-to-end repeats (CI smoke mode)",
-    )
-    parser.add_argument(
         "--repeats",
         type=int,
         default=None,
@@ -615,11 +576,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
     if not (0.0 < args.threshold):
         raise ValueError(f"--threshold must be positive: {args.threshold}")
     results_dir = Path(args.results_dir) if args.results_dir else default_results_dir()
-    # Micros are cheap, so quick mode keeps the full best-of-7 (anything
-    # lower is too noisy for a 25% gate on shared CI runners); it only
-    # drops the expensive end-to-end repeats.
-    micro_repeats = args.repeats if args.repeats is not None else 7
-    e2e_repeats = 1 if args.quick else 2
+    # Best-of-7 by default: anything lower is too noisy for a 25% gate on
+    # shared CI runners.
+    repeats = args.repeats if args.repeats is not None else 7
 
     suite = build_suite(args.only)
 
@@ -634,16 +593,14 @@ def cmd_perf(args: argparse.Namespace) -> int:
     baseline = snapshot_entries(baseline_path) if baseline_path else {}
 
     calibration = calibration_ns_per_op()
-    mode = "quick" if args.quick else "full"
     print(
-        f"# repro.bench perf ({mode}): {len(suite)} bench(es), "
+        f"# repro.bench perf: {len(suite)} bench(es), "
         f"calibration {calibration:.1f} ns/op",
         flush=True,
     )
 
     entries: List[Dict[str, Any]] = []
     for i, bench in enumerate(suite, 1):
-        repeats = e2e_repeats if bench.group == "e2e" else micro_repeats
         ns_per_op = _best_ns_per_op(bench.run, bench.ops, repeats)
         entry: Dict[str, Any] = {
             "group": bench.group,
@@ -671,7 +628,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
     snapshot: Dict[str, Any] = {
         "schema": SCHEMA,
         "created_unix": time.time(),
-        "mode": mode,
         "interpreter": _interpreter_fingerprint(),
         "calibration_ns_per_op": round(calibration, 3),
         "baseline": str(baseline_path) if baseline_path else None,

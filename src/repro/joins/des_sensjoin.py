@@ -29,7 +29,7 @@ per-phase wall-clock budget), emits a ``phase-timeout`` trace event,
 interrupts the surviving processes, lets CTP repair the tree
 (``tree-repair``), waits out a backoff, and re-executes the query on the
 same kernel timeline — so every aborted attempt's partially spent
-transmissions and energy stay charged to the ledgers.  After
+transmissions and energy stay in the statistics store.  After
 ``max_retries`` failed repairs the :class:`RecoveryPolicy` either raises
 :class:`~repro.errors.ExecutionAborted` or returns the partial result
 flagged with ``details["partial"]`` (graceful degradation).
@@ -95,7 +95,7 @@ class RecoveryPolicy:
     via :func:`~repro.routing.ctp.repair_tree`; ``"reattach"`` heals
     incrementally via :func:`~repro.routing.ctp.reattach_tree` — detached
     subtrees graft onto the nearest live parent through a localized beacon
-    exchange whose cost lands in the energy ledger, and nodes that rejoined
+    exchange whose cost lands in the statistics store, and nodes that rejoined
     mid-attempt are adopted into the tree instead of being ignored.
     """
 
@@ -339,7 +339,7 @@ class DesSensJoin(JoinAlgorithm):
                         # Incremental self-healing: graft detached subtrees
                         # (and any nodes that rejoined mid-attempt) onto the
                         # nearest live parent; the beacon exchange is charged
-                        # to the ledger under the tree-maintenance phase.
+                        # to the store under the tree-maintenance phase.
                         heal = reattach_tree(
                             network, tree, seed=self.repair_seed,
                             tracer=tracer, time_s=env.now,

@@ -151,11 +151,11 @@ def run_snapshot(
 ) -> JoinOutcome:
     """Execute one snapshot ("ONCE") query and return the outcome.
 
-    Accounting starts fresh by default: the network's energy ledgers and
-    statistics are reset, so the outcome reflects exactly one execution.
+    Accounting starts fresh by default: the network's statistics store is
+    swapped for an empty one, so the outcome reflects exactly one execution.
     ``reset_accounting=False`` lets multi-attempt drivers
     (:func:`run_with_failures`) accumulate the cost of aborted attempts
-    into the final outcome's ledgers.
+    into the final outcome's store.
 
     ``telemetry`` (optional) observes the execution: the channel charges
     per-node/per-phase counters into its registry, and the algorithm — if it
@@ -265,8 +265,8 @@ def run_with_failures(
     Aborted attempts are not free: each one executes and spends its full
     transmission/energy budget before the failure voids it (a conservative
     model — the abort is only detected at the base station, after the
-    protocol has run its course).  That cost stays in the network's ledgers
-    and statistics, which accumulate across attempts into the returned
+    protocol has run its course).  That cost stays in the network's
+    statistics store, which accumulates across attempts into the returned
     outcome; ``details["aborted_tx_packets"]`` / ``details["aborted_energy"]``
     break out the share spent on attempts that delivered nothing.
     """

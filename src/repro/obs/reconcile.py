@@ -1,10 +1,12 @@
 """Energy reconciliation between telemetry counters and the affine model.
 
-The channel charges every transmission twice over: once into the per-node
-:class:`~repro.sim.energy.EnergyLedger` (the ground truth the benchmarks
-report) and once into per-phase telemetry counters (``tx_packets_total``,
-``energy_joules_total{op=...}``, ...).  The two must agree *exactly* —
-any drift means a code path charged one book and not the other.
+With telemetry attached, the channel records every transmission twice
+over: once into the :class:`~repro.sim.stats.TransmissionStats` store, whose
+counts priced by the network's energy model are the ground truth the
+benchmarks report, and once into per-phase telemetry counters
+(``tx_packets_total``, ``energy_joules_total{op=...}``, ...).  The two must
+agree *exactly* — any drift means a code path wrote one book and not the
+other.
 
 This module holds the shared arithmetic: the ``repro.obs`` CLI's
 ``energy-breakdown`` command reconciles recorded traces with it, and the

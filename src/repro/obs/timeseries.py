@@ -276,7 +276,7 @@ class SloPolicy:
 class _NetworkWatch:
     """Per-node gauge probe over a live :class:`~repro.sim.network.Network`.
 
-    Ledgers and statistics are wiped by ``reset_accounting`` between broker
+    ``reset_accounting`` swaps in a fresh statistics store between broker
     epochs, so raw reads would saw-tooth.  The watch keeps a banked base per
     node and exposes *cumulative* spend/traffic: the driver calls
     :meth:`bank` immediately before each reset (see
@@ -325,13 +325,11 @@ class _NetworkWatch:
 
     def __call__(self, now: float) -> Iterable[Reading]:
         stats = self.network.stats
-        for node_id in sorted(self.network.nodes):
+        spent = self.network.energy_by_node()
+        for node_id in sorted(spent):
             labels = {"node": node_id}
             energy = self._cumulative(
-                node_id,
-                self.network.nodes[node_id].ledger.total_energy,
-                self._energy_base,
-                self._energy_last,
+                node_id, spent[node_id], self._energy_base, self._energy_last
             )
             yield "node_energy_j", labels, energy
             if self.battery_j is not None:

@@ -33,7 +33,7 @@ expensive: most of the tree is still fine.  :func:`reattach_tree` is the
 incremental alternative — only the roots of detached subtrees probe their
 radio neighbourhood with beacons and graft onto the nearest attached node,
 keeping every surviving parent link untouched.  The beacon exchange is
-charged to the energy ledger (phase ``"tree-maintenance"``) so repair cost
+recorded in the statistics store (phase ``"tree-maintenance"``) so repair cost
 shows up in the same accounting as query traffic.
 """
 

@@ -41,7 +41,7 @@ numbers reported by the ``concurrency_study`` experiment.
 survives a topology that shifts under its batches.  Readings are sampled
 once, pre-churn; due faults are applied as the clock reaches them and the
 tree heals incrementally (:func:`~repro.routing.ctp.reattach_tree`, repair
-cost in the ledger).  Batches run a *degradation ladder*: shared execution
+cost in the stats store).  Batches run a *degradation ladder*: shared execution
 with bounded, seeded-exponential-backoff retries when an epoch is disrupted
 (a fault landed mid-epoch, or the :class:`DeadlinePolicy` timeout expired);
 then the share group splits and members re-execute independently; a member
@@ -396,12 +396,12 @@ class QueryBroker:
         return readings
 
     def _reset_accounting(self) -> None:
-        """Reset per-epoch ledgers, banking cumulative gauges first.
+        """Reset per-epoch accounting, banking cumulative gauges first.
 
-        Every epoch starts from a clean ledger (energy shares are per-epoch
-        deltas), but the sampler's per-node gauges are cumulative — the watch
-        must fold the current readings into its base offsets before the wipe
-        or the time series would saw-tooth back to zero each batch.
+        Every epoch starts from a fresh statistics store (energy shares are
+        per-epoch deltas), but the sampler's per-node gauges are cumulative —
+        the watch must fold the current readings into its base offsets before
+        the wipe or the time series would saw-tooth back to zero each batch.
         """
         if self._sampler is not None:
             self._sampler.note_network_reset()
@@ -415,7 +415,7 @@ class QueryBroker:
         # Instrument the whole run, not just the serial path: the shared and
         # resilient epochs (and repair beacons) charge the channel directly,
         # and their per-node/per-phase counters must land in the registry for
-        # the energy ledger to reconcile (docs/observability.md).
+        # the network's energy total to reconcile (docs/observability.md).
         with instrumented(self.network, telemetry):
             return self._run(requests)
 
@@ -782,7 +782,7 @@ class QueryBroker:
                     except Exception as exc:
                         error = exc
                 if len(requests) == 1:
-                    # A lone query pays for the whole epoch, read off the ledger.
+                    # A lone query pays for the whole epoch, read off the store.
                     energy_share = network.total_energy()
                     tx_share = float(network.stats.total_tx_packets())
                 else:
@@ -853,10 +853,10 @@ class QueryBroker:
         self.tracer.emit(fault.time_s, fault.node_a, FAULT_INJECT, **detail)
 
     def _heal_tree(self, now: float) -> None:
-        """Localized re-attach over the churned topology, cost in the ledger.
+        """Localized re-attach over the churned topology, cost in the store.
 
         The beacon deltas are banked immediately: the next epoch's
-        ``reset_accounting`` wipes the ledgers, so repair cost lives in the
+        ``reset_accounting`` swaps the store out, so repair cost lives in the
         broker's own accumulators and is added to the report total.
         """
         network = self.network

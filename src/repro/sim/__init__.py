@@ -4,7 +4,7 @@ This package replaces the paper's ns-2 testbed (see DESIGN.md, substitution
 table).  The public surface is re-exported here.
 """
 
-from .energy import EnergyLedger, EnergyModel
+from .energy import EnergyModel
 from .faults import (
     Fault,
     FaultInjector,
@@ -20,7 +20,7 @@ from .network import (
     deploy_uniform,
 )
 from .node import BASE_STATION_ID, SensorNode
-from .radio import Channel, PacketFormat, Transmission
+from .radio import Channel, PacketFormat
 from .replay import replay_collection_phase, replay_dissemination_phase
 from .stats import NodeLoad, TransmissionStats
 from .trace import ListTracer, NullTracer, TraceEvent, Tracer
@@ -30,7 +30,6 @@ __all__ = [
     "BASE_STATION_ID",
     "Channel",
     "DeploymentConfig",
-    "EnergyLedger",
     "EnergyModel",
     "Environment",
     "Event",
@@ -48,7 +47,6 @@ __all__ = [
     "Timeout",
     "TraceEvent",
     "Tracer",
-    "Transmission",
     "TransmissionStats",
     "deploy_clustered",
     "deploy_grid",

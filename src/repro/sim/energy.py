@@ -9,17 +9,19 @@ footnote 1).  This module models exactly that: an affine cost per packet,
 
     E_tx(packet) = tx_per_packet + payload_bytes * tx_per_byte
 
-plus the symmetric receive-side cost, and a per-node :class:`EnergyLedger`
-that the channel charges on every send/receive.
+plus the symmetric receive-side cost.  Nothing is charged as it happens:
+the channel records each send's packet and byte counts once, in the
+:class:`~repro.sim.stats.TransmissionStats` store, and a node's energy is
+those counts priced by this model when it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import constants
 
-__all__ = ["EnergyModel", "EnergyLedger"]
+__all__ = ["EnergyModel"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,18 @@ class EnergyModel:
             raise ValueError(f"negative payload: {payload_bytes}")
         return self.rx_per_packet + payload_bytes * self.rx_per_byte
 
+    def tx_energy(self, packets: int, payload_bytes: int) -> float:
+        """Energy to transmit ``packets`` carrying ``payload_bytes`` in all.
+
+        Per-packet overhead is paid ``packets`` times and the bytes once, as
+        a batch.  ARQ retransmissions are priced the same way.
+        """
+        return packets * self.tx_per_packet + payload_bytes * self.tx_per_byte
+
+    def rx_energy(self, packets: int, payload_bytes: int) -> float:
+        """Energy to receive ``packets`` carrying ``payload_bytes`` in all."""
+        return packets * self.rx_per_packet + payload_bytes * self.rx_per_byte
+
     def relative_saving_from_shrinking(
         self, payload_bytes: int, bytes_removed: int
     ) -> float:
@@ -64,75 +78,3 @@ class EnergyModel:
         before = self.tx_cost(payload_bytes)
         after = self.tx_cost(payload_bytes - bytes_removed)
         return (before - after) / before
-
-
-@dataclass(slots=True)
-class EnergyLedger:
-    """Accumulates energy spent by a single node, split by direction.
-
-    Instances are cheap value objects; the network keeps one per node and the
-    statistics collector aggregates them at the end of a run.  Slotted, like
-    :class:`~repro.sim.node.SensorNode`: there is one ledger per node, so its
-    footprint is part of the per-node byte budget at 100k-node scale.
-    """
-
-    tx_energy: float = 0.0
-    rx_energy: float = 0.0
-    tx_packets: int = 0
-    rx_packets: int = 0
-    tx_bytes: int = 0
-    rx_bytes: int = 0
-    #: Link-layer ARQ retransmissions, kept apart from first transmissions so
-    #: the paper's lossless transmission metric is unaffected by loss studies.
-    retx_energy: float = 0.0
-    retx_packets: int = 0
-    retx_bytes: int = 0
-    _model: EnergyModel = field(default_factory=EnergyModel)
-
-    def charge_tx(self, payload_bytes: int, packets: int = 1) -> float:
-        """Charge this node for sending ``packets`` totalling ``payload_bytes``.
-
-        When more than one packet is sent the bytes are attributed to the
-        batch as a whole; per-packet overhead is charged ``packets`` times.
-        Returns the energy charged.
-        """
-        if packets < 0:
-            raise ValueError(f"negative packet count: {packets}")
-        cost = packets * self._model.tx_per_packet + payload_bytes * self._model.tx_per_byte
-        self.tx_energy += cost
-        self.tx_packets += packets
-        self.tx_bytes += payload_bytes
-        return cost
-
-    def charge_rx(self, payload_bytes: int, packets: int = 1) -> float:
-        """Charge this node for receiving; mirror image of :meth:`charge_tx`."""
-        if packets < 0:
-            raise ValueError(f"negative packet count: {packets}")
-        cost = packets * self._model.rx_per_packet + payload_bytes * self._model.rx_per_byte
-        self.rx_energy += cost
-        self.rx_packets += packets
-        self.rx_bytes += payload_bytes
-        return cost
-
-    def charge_retx(self, payload_bytes: int, packets: int = 1) -> float:
-        """Charge this node for ARQ retransmissions (priced like transmits)."""
-        if packets < 0:
-            raise ValueError(f"negative packet count: {packets}")
-        cost = packets * self._model.tx_per_packet + payload_bytes * self._model.tx_per_byte
-        self.retx_energy += cost
-        self.retx_packets += packets
-        self.retx_bytes += payload_bytes
-        return cost
-
-    @property
-    def total_energy(self) -> float:
-        """Total energy spent (transmit + receive + retransmit)."""
-        return self.tx_energy + self.rx_energy + self.retx_energy
-
-    def reset(self) -> None:
-        """Zero all counters (used between independent query executions)."""
-        self.tx_energy = self.rx_energy = 0.0
-        self.tx_packets = self.rx_packets = 0
-        self.tx_bytes = self.rx_bytes = 0
-        self.retx_energy = 0.0
-        self.retx_packets = self.retx_bytes = 0

@@ -29,7 +29,7 @@ topology changes at simulated times on the DES kernel:
 
 A :class:`FaultPlan` is an immutable, time-sorted schedule; building one from
 a seed (:func:`random_crash_plan`) is deterministic, so a fixed plan yields
-identical retries, ledgers and recall on every run.  :class:`FaultInjector`
+identical retries, energy and recall on every run.  :class:`FaultInjector`
 replays the plan as a kernel process sharing the engine's
 :class:`~repro.sim.kernel.Environment`, emitting one
 :data:`~repro.sim.trace.FAULT_INJECT` trace event per applied fault.

@@ -30,7 +30,7 @@ import numpy as np
 
 from .. import constants
 from ..errors import NetworkError
-from .energy import EnergyLedger, EnergyModel
+from .energy import EnergyModel
 from .node import BASE_STATION_ID, SensorNode
 from .radio import ArqConfig, Channel, PacketFormat
 from .spatial import SpatialGridIndex
@@ -159,10 +159,8 @@ class Network:
         self.nodes: Dict[int, SensorNode] = {node.node_id: node for node in nodes}
         self.radio_range_m = radio_range_m
         self.packet_format = packet_format or PacketFormat()
-        model = energy_model or EnergyModel()
-        self.energy_model = model
-        for node in self.nodes.values():
-            node.ledger = EnergyLedger(_model=model)
+        #: Prices the store's packet and byte counts when energy is read.
+        self.energy_model = energy_model or EnergyModel()
         self.stats = TransmissionStats()
         # A disabled (loss_rate=0) model is normalised to None so the channel
         # takes its lossless fast path and stays a strict no-op.
@@ -172,13 +170,14 @@ class Network:
         self.channel = Channel(
             self.packet_format,
             self.stats,
-            {node_id: node.ledger for node_id, node in self.nodes.items()},
+            self.nodes,
             loss_probability=(
                 self.link_loss_probability if self.link_quality is not None else None
             ),
             arq=arq,
             arq_seed=self.link_quality.seed if self.link_quality is not None else 0,
             link_up=self.link_up,
+            energy_model=self.energy_model,
         )
         self._adjacency: Dict[int, set[int]] = {}
         self._failed_links: set[frozenset[int]] = set()
@@ -453,21 +452,23 @@ class Network:
     # -- accounting helpers ----------------------------------------------------
 
     def total_energy(self) -> float:
-        """Network-wide energy spent since the last accounting reset."""
-        return sum(node.ledger.total_energy for node in self.nodes.values())
+        """Network-wide energy spent since the last accounting reset.
+
+        Priced from the statistics store by :attr:`energy_model`.
+        """
+        return self.stats.total_energy(self.energy_model)
 
     def energy_by_node(self) -> Dict[int, float]:
         """Per-node energy spent since the last accounting reset.
 
-        The per-node view behind the time-series sampler's residual-energy
-        gauges and ``python -m repro.obs hotspots`` — the base-station
-        funnel effect (§V) is a statement about *this* distribution, not
-        about the network total.
+        Every node appears, silent ones at 0.0.  The per-node view behind
+        the time-series sampler's residual-energy gauges and
+        ``python -m repro.obs hotspots`` — the base-station funnel effect
+        (§V) is a statement about *this* distribution, not about the
+        network total.
         """
-        return {
-            node_id: node.ledger.total_energy
-            for node_id, node in self.nodes.items()
-        }
+        stats, model = self.stats, self.energy_model
+        return {node_id: stats.node_energy(node_id, model) for node_id in self.nodes}
 
     def residual_energy_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Array-backed per-node energy view: ``(ids, spent_energy)`` columns.
@@ -476,26 +477,21 @@ class Network:
         nodes the scale studies instead read this flat pair of numpy columns
         (sorted by node id) to compute load distributions in one shot.
         """
-        ids = np.fromiter(self.nodes.keys(), dtype=np.int64, count=len(self.nodes))
+        spent = self.energy_by_node()
+        ids = np.fromiter(spent.keys(), dtype=np.int64, count=len(spent))
         order = np.argsort(ids)
-        energy = np.fromiter(
-            (node.ledger.total_energy for node in self.nodes.values()),
-            dtype=np.float64,
-            count=len(self.nodes),
-        )
+        energy = np.fromiter(spent.values(), dtype=np.float64, count=len(spent))
         return ids[order], energy[order]
 
     def reset_accounting(self) -> None:
-        """Zero all energy ledgers and swap in a fresh statistics collector.
+        """Swap in a fresh statistics store, which zeroes every node's energy.
 
-        Also re-seeds the channel's ARQ draws so each query execution sees
-        the same deterministic loss realisation.
+        The old store is left as it was, so an outcome that holds it keeps
+        its run's counts.  Also re-seeds the channel's ARQ draws so each
+        query execution sees the same deterministic loss realisation.
         """
-        for node in self.nodes.values():
-            node.ledger.reset()
         self.stats = TransmissionStats()
         self.channel.stats = self.stats
-        self.channel.log = []
         self.channel.reset_arq()
 
 

@@ -1,20 +1,20 @@
 """Sensor node model.
 
 A node is a stationary device with a position, a set of sensors (its current
-readings are filled in per snapshot by :mod:`repro.data`), an energy ledger,
-and membership in zero or more sensor relations (§III: "We say that a node
-belongs to a sensor relation R if it contributes a tuple T to R").  The base
-station is modelled as a distinguished node with unlimited power; its ledger
-exists so accounting code is uniform, but its consumption is excluded from
-all network-lifetime metrics (the paper's base station is mains powered).
+readings are filled in per snapshot by :mod:`repro.data`), and membership in
+zero or more sensor relations (§III: "We say that a node belongs to a sensor
+relation R if it contributes a tuple T to R").  Its radio traffic and energy
+live in the network's :class:`~repro.sim.stats.TransmissionStats` store.  The
+base station is modelled as a distinguished node with unlimited power; its
+traffic is recorded so accounting code is uniform, but its consumption is
+excluded from all network-lifetime metrics (the paper's base station is mains
+powered).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet
-
-from .energy import EnergyLedger
 
 __all__ = ["SensorNode", "BASE_STATION_ID"]
 
@@ -47,8 +47,6 @@ class SensorNode:
         Names of the sensor relations this node belongs to.  Homogeneous
         networks put every node in the single relation ``"sensors"``;
         heterogeneous deployments partition or overlap nodes across several.
-    ledger:
-        Energy spent by this node's radio.
     alive:
         False once the node has failed (failure-injection experiments).
     """
@@ -58,7 +56,6 @@ class SensorNode:
     y: float
     readings: Dict[str, float] = field(default_factory=dict)
     relations: FrozenSet[str] = frozenset()
-    ledger: EnergyLedger = field(default_factory=EnergyLedger)
     alive: bool = True
 
     @property

@@ -4,9 +4,10 @@ The paper's cost metric is the number of link-layer transmissions given a
 maximum packet size (48 bytes by default, 124 bytes in the §VI-A study).  A
 payload of *n* bytes therefore costs ``ceil(n / max_packet)`` transmissions
 per hop.  :class:`PacketFormat` captures that rule; :class:`Channel` applies
-it on every hop, charging energy ledgers and the
-:class:`~repro.sim.stats.TransmissionStats` collector, and—when executed
-under the discrete-event kernel—imposing per-packet latency.
+it on every hop, recording each send once in the
+:class:`~repro.sim.stats.TransmissionStats` store (energy is priced from
+those counts when read), and—when executed under the discrete-event
+kernel—imposing per-packet latency.
 
 A *broadcast* costs the sender one transmission burst regardless of how many
 neighbours listen; every listed receiver pays the receive cost.  This matters
@@ -20,12 +21,12 @@ by the link layer, which retransmits until delivery.  The channel models
 this when given a per-link loss probability (the network derives it from a
 :class:`~repro.sim.network.LinkQuality` model): each packet independently
 needs a geometrically distributed number of attempts, bounded by
-:class:`ArqConfig.max_retries`.  Retransmissions are charged to the sender's
-energy ledger and recorded in the statistics collector's *retransmission*
-dimension — they never inflate the paper's first-transmission metric.  Each
-retry also costs an ACK-timeout with exponential backoff, surfaced through
-:attr:`Channel.last_send_latency_s` so the response-time studies see the
-cost of unreliable links.
+:class:`ArqConfig.max_retries`.  Retransmissions are recorded in the
+store's *retransmission* dimension and priced like transmissions, so they
+cost the sender energy but never inflate the paper's first-transmission
+metric.  Each retry also costs an ACK-timeout with exponential backoff,
+surfaced through :attr:`Channel.last_send_latency_s` so the response-time
+studies see the cost of unreliable links.
 
 Two deliberate accounting simplifications: the retry bound caps the *charged*
 attempts (delivery itself is persistent, so protocol results stay exact —
@@ -56,19 +57,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional
 
 from .. import constants
 from ..errors import SimulationError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from .energy import EnergyLedger
+from .energy import EnergyModel
 from .stats import TransmissionStats
 from .trace import LINK_DEAD, LINK_RETX, NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Environment
 
-__all__ = ["PacketFormat", "ArqConfig", "Transmission", "Channel"]
+__all__ = ["PacketFormat", "ArqConfig", "Channel"]
 
 
 @dataclass(frozen=True)
@@ -141,29 +142,19 @@ class ArqConfig:
         return delay
 
 
-@dataclass(frozen=True)
-class Transmission:
-    """Record of one logical send (possibly fragmented into many packets)."""
-
-    sender: int
-    receivers: tuple[int, ...]
-    payload_bytes: int
-    packets: int
-    phase: str
-    #: Link-layer retransmissions the ARQ needed on top of ``packets``.
-    retries: int = 0
-    #: False when the ARQ gave up: at least one receiver never got the data.
-    delivered: bool = True
-
-
 class Channel:
     """Accounting layer every protocol hop goes through.
 
     The channel does not route; callers name the receiver(s) explicitly (the
     routing tree decides who talks to whom).  It enforces the packetization
-    rule, charges per-node energy ledgers, and records into the statistics
-    collector.  With an :class:`~repro.sim.kernel.Environment` attached, the
-    ``latency_for`` helper lets protocol processes model per-packet delay.
+    rule and records every send once in the statistics store: the sender's
+    transmission, one reception per listener reached, and the sender's ARQ
+    retransmissions.  ``nodes`` holds the ids it accepts; a send naming any
+    other node raises :class:`~repro.errors.SimulationError`.
+    ``energy_model`` prices the per-send energy counters of an attached
+    telemetry registry.  With an :class:`~repro.sim.kernel.Environment`
+    attached, the ``latency_for`` helper lets protocol processes model
+    per-packet delay.
 
     When ``loss_probability`` is given (a callable ``(sender, receiver) ->
     probability``), every packet additionally runs through the bounded ARQ
@@ -175,7 +166,7 @@ class Channel:
         self,
         packet_format: PacketFormat,
         stats: TransmissionStats,
-        ledgers: dict[int, EnergyLedger],
+        nodes: Collection[int],
         hop_latency_s: float = constants.DEFAULT_HOP_LATENCY_S,
         env: Optional["Environment"] = None,
         loss_probability: Optional[Callable[[int, int], float]] = None,
@@ -184,10 +175,12 @@ class Channel:
         tracer: Optional[Tracer] = None,
         link_up: Optional[Callable[[int, int], bool]] = None,
         telemetry: Optional[Telemetry] = None,
+        energy_model: Optional[EnergyModel] = None,
     ):
         self.packet_format = packet_format
         self.stats = stats
-        self.ledgers = ledgers
+        self.nodes = nodes
+        self.energy_model = energy_model or EnergyModel()
         self.hop_latency_s = hop_latency_s
         self.env = env
         self.loss_probability = loss_probability
@@ -199,7 +192,6 @@ class Channel:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: ``(sender, receiver) -> bool``; None means every link is up.
         self.link_up = link_up
-        self.log: list[Transmission] = []
         #: Serialisation + ARQ latency of the most recent send (zero when the
         #: last send carried nothing).  Equals ``latency_for(payload)`` on a
         #: lossless channel.
@@ -214,11 +206,9 @@ class Channel:
         self._arq_seed = arq_seed
         self._rng = random.Random(arq_seed)
 
-    def _ledger(self, node_id: int) -> EnergyLedger:
-        ledger = self.ledgers.get(node_id)
-        if ledger is None:
-            raise SimulationError(f"no energy ledger for node {node_id}")
-        return ledger
+    def _require_known(self, node_id: int) -> None:
+        if node_id not in self.nodes:
+            raise SimulationError(f"unknown node {node_id}")
 
     # -- ARQ internals -------------------------------------------------------
 
@@ -258,25 +248,34 @@ class Channel:
     def _now(self) -> float:
         return self.env.now if self.env is not None else 0.0
 
-    def _count_tx(
-        self, sender: int, phase: str, packets: int, payload_bytes: int, cost: float
+    def _record_send(
+        self,
+        sender: int,
+        reached: tuple[int, ...],
+        phase: str,
+        packets: int,
+        payload_bytes: int,
     ) -> None:
+        """Record the sender's transmission and one reception per reached listener."""
+        self._require_known(sender)
+        self.stats.record_tx(sender, phase, packets, payload_bytes)
+        for receiver in reached:
+            self._require_known(receiver)
+            self.stats.record_rx(receiver, phase, packets, payload_bytes)
         reg = self.telemetry.registry
-        if reg.enabled:
-            reg.counter("tx_packets_total", node=sender, phase=phase).inc(packets)
-            reg.counter("tx_bytes_total", node=sender, phase=phase).inc(payload_bytes)
-            reg.counter("energy_joules_total", node=sender, phase=phase, op="tx").inc(cost)
-
-    def _count_rx(
-        self, receiver: int, phase: str, packets: int, payload_bytes: int, cost: float
-    ) -> None:
-        reg = self.telemetry.registry
-        if reg.enabled:
+        if not reg.enabled:
+            return
+        tx_cost = self.energy_model.tx_energy(packets, payload_bytes)
+        reg.counter("tx_packets_total", node=sender, phase=phase).inc(packets)
+        reg.counter("tx_bytes_total", node=sender, phase=phase).inc(payload_bytes)
+        reg.counter("energy_joules_total", node=sender, phase=phase, op="tx").inc(tx_cost)
+        rx_cost = self.energy_model.rx_energy(packets, payload_bytes)
+        for receiver in reached:
             reg.counter("rx_packets_total", node=receiver, phase=phase).inc(packets)
             reg.counter("rx_bytes_total", node=receiver, phase=phase).inc(payload_bytes)
-            reg.counter("energy_joules_total", node=receiver, phase=phase, op="rx").inc(cost)
+            reg.counter("energy_joules_total", node=receiver, phase=phase, op="rx").inc(rx_cost)
 
-    def _charge_retries(
+    def _record_retries(
         self,
         sender: int,
         phase: str,
@@ -284,13 +283,13 @@ class Channel:
         retx_bytes: int,
         receivers: tuple[int, ...],
     ) -> float:
-        """Charge/record ARQ retries; returns the extra latency incurred."""
+        """Record ARQ retries; returns the extra latency incurred."""
         if retx_packets == 0:
             return 0.0
-        cost = self._ledger(sender).charge_retx(retx_bytes, retx_packets)
         self.stats.record_retx(sender, phase, retx_packets, retx_bytes)
         reg = self.telemetry.registry
         if reg.enabled:
+            cost = self.energy_model.tx_energy(retx_packets, retx_bytes)
             reg.counter("retx_packets_total", node=sender, phase=phase).inc(retx_packets)
             reg.counter("retx_bytes_total", node=sender, phase=phase).inc(retx_bytes)
             reg.counter("energy_joules_total", node=sender, phase=phase, op="retx").inc(cost)
@@ -335,14 +334,10 @@ class Channel:
                 retries = self._draw_retries(p_loss)
                 retx_packets += retries
                 retx_bytes += retries * size
-        tx_cost = self._ledger(sender).charge_tx(payload_bytes, packets)
-        self.stats.record_tx(sender, phase, packets, payload_bytes)
-        self._count_tx(sender, phase, packets, payload_bytes, tx_cost)
-        if delivered:
-            rx_cost = self._ledger(receiver).charge_rx(payload_bytes, packets)
-            self.stats.record_rx(receiver, phase, packets, payload_bytes)
-            self._count_rx(receiver, phase, packets, payload_bytes, rx_cost)
-        arq_delay = self._charge_retries(
+        self._record_send(
+            sender, (receiver,) if delivered else (), phase, packets, payload_bytes
+        )
+        arq_delay = self._record_retries(
             sender, phase, retx_packets, retx_bytes, (receiver,)
         )
         self.last_send_latency_s = packets * self.hop_latency_s + arq_delay
@@ -352,12 +347,6 @@ class Channel:
                 self._now(), sender, LINK_DEAD,
                 receiver=receiver, phase=phase, bytes=payload_bytes,
             )
-        self.log.append(
-            Transmission(
-                sender, (receiver,), payload_bytes, packets, phase,
-                retx_packets, delivered,
-            )
-        )
         return packets
 
     def broadcast(
@@ -399,14 +388,8 @@ class Channel:
                 retries = max(self._draw_retries(p_loss) for p_loss in losses)
                 retx_packets += retries
                 retx_bytes += retries * size
-        tx_cost = self._ledger(sender).charge_tx(payload_bytes, packets)
-        self.stats.record_tx(sender, phase, packets, payload_bytes)
-        self._count_tx(sender, phase, packets, payload_bytes, tx_cost)
-        for receiver in reached:
-            rx_cost = self._ledger(receiver).charge_rx(payload_bytes, packets)
-            self.stats.record_rx(receiver, phase, packets, payload_bytes)
-            self._count_rx(receiver, phase, packets, payload_bytes, rx_cost)
-        arq_delay = self._charge_retries(
+        self._record_send(sender, reached, phase, packets, payload_bytes)
+        arq_delay = self._record_retries(
             sender, phase, retx_packets, retx_bytes, receiver_ids
         )
         self.last_send_latency_s = packets * self.hop_latency_s + arq_delay
@@ -418,12 +401,6 @@ class Channel:
                 self._now(), sender, LINK_DEAD,
                 receivers=missed, phase=phase, bytes=payload_bytes,
             )
-        self.log.append(
-            Transmission(
-                sender, receiver_ids, payload_bytes, packets, phase,
-                retx_packets, len(reached) == len(receiver_ids),
-            )
-        )
         return packets
 
     def latency_for(self, payload_bytes: int) -> float:

@@ -2,11 +2,13 @@
 
 The join protocols compute their response times analytically (per-node
 critical paths folded into the tree traversals).  This module recomputes the
-same quantity *independently*: it takes the channel's transmission log, spawns
-one kernel process per node, and lets the discrete-event machinery derive the
+same quantity *independently*: it reads each node's packet counts for one
+phase from the :class:`~repro.sim.stats.TransmissionStats` store, spawns one
+kernel process per node, and lets the discrete-event machinery derive the
 phase's completion time — each node transmits only after all of its children
 have (collection phases), or after its parent's broadcast arrived
-(dissemination phases).
+(dissemination phases).  A node's send takes its transmitted packets times
+the hop latency.
 
 Tests assert that the DES-derived times equal the analytic ones exactly;
 any divergence would mean the hand-rolled critical-path code and the
@@ -15,31 +17,20 @@ simulated schedule disagree.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Dict, Iterable, List
+from typing import Dict, Iterable
 
 from ..errors import SimulationError
 from .kernel import Environment
-from .radio import Transmission
+from .stats import TransmissionStats
 
 __all__ = ["replay_collection_phase", "replay_dissemination_phase"]
 
 
-def _transmissions_by_sender(
-    transmissions: Iterable[Transmission], phase: str
-) -> Dict[int, List[Transmission]]:
-    by_sender: Dict[int, List[Transmission]] = defaultdict(list)
-    for transmission in transmissions:
-        if transmission.phase == phase:
-            by_sender[transmission.sender].append(transmission)
-    return by_sender
-
-
 def replay_collection_phase(
     tree,
-    transmissions: Iterable[Transmission],
+    stats: TransmissionStats,
     phase: str,
-    latency_for: Callable[[int], float],
+    hop_latency_s: float,
     participants: Iterable[int] | None = None,
 ) -> float:
     """DES completion time of an upward (post-order) phase.
@@ -53,7 +44,6 @@ def replay_collection_phase(
     non-exited nodes of SENS-Join's final phase); children outside the set
     contribute no dependency.
     """
-    by_sender = _transmissions_by_sender(transmissions, phase)
     member = set(participants) if participants is not None else set(tree.node_ids)
     env = Environment()
     done = {node_id: env.event() for node_id in tree.node_ids if node_id in member}
@@ -64,10 +54,7 @@ def replay_collection_phase(
         ]
         if child_events:
             yield env.all_of(child_events)
-        delay = sum(
-            latency_for(transmission.payload_bytes)
-            for transmission in by_sender.get(node_id, [])
-        )
+        delay = stats.node_tx_packets(node_id, (phase,)) * hop_latency_s
         if delay:
             yield env.timeout(delay)
         done[node_id].succeed(env.now)
@@ -81,35 +68,42 @@ def replay_collection_phase(
 
 def replay_dissemination_phase(
     tree,
-    transmissions: Iterable[Transmission],
+    stats: TransmissionStats,
     phase: str,
-    latency_for: Callable[[int], float],
+    hop_latency_s: float,
 ) -> Dict[int, float]:
     """DES arrival times of a downward (pre-order) broadcast phase.
 
-    The root broadcasts at time 0; every other broadcaster waits for its own
-    arrival first.  Returns node -> arrival time for every node that received
-    the phase's broadcasts (the root arrives at 0).
+    The root broadcasts at time 0; every other node that transmitted in
+    ``phase`` waits for its own arrival first.  A broadcast reaches the
+    sender's tree children that received in ``phase``.  Returns node ->
+    arrival time for the root and every node reached.
     """
-    by_sender = _transmissions_by_sender(transmissions, phase)
     env = Environment()
     arrival = {tree.root: env.event()}
-    for sends in by_sender.values():
-        for transmission in sends:
-            for receiver in transmission.receivers:
-                arrival.setdefault(receiver, env.event())
+    sends: Dict[int, tuple[int, list[int]]] = {}
+    for node_id in tree.node_ids:
+        packets = stats.node_tx_packets(node_id, (phase,))
+        if packets:
+            listeners = [
+                child
+                for child in tree.children(node_id)
+                if stats.node_rx_packets(child, (phase,))
+            ]
+            sends[node_id] = (packets, listeners)
+            arrival.setdefault(node_id, env.event())
+            for child in listeners:
+                arrival.setdefault(child, env.event())
 
-    def broadcaster(node_id: int):
+    def broadcaster(node_id: int, packets: int, listeners: list[int]):
         yield arrival[node_id]
-        for transmission in by_sender.get(node_id, []):
-            yield env.timeout(latency_for(transmission.payload_bytes))
-            for receiver in transmission.receivers:
-                if not arrival[receiver].triggered:
-                    arrival[receiver].succeed(env.now)
+        yield env.timeout(packets * hop_latency_s)
+        for child in listeners:
+            if not arrival[child].triggered:
+                arrival[child].succeed(env.now)
 
-    for node_id in by_sender:
-        arrival.setdefault(node_id, env.event())
-        env.process(broadcaster(node_id))
+    for node_id, (packets, listeners) in sends.items():
+        env.process(broadcaster(node_id, packets, listeners))
     arrival[tree.root].succeed(0.0)
     env.run()
     times: Dict[int, float] = {}

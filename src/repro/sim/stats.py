@@ -9,10 +9,11 @@ The experiments in §VI report two families of quantities:
   the node's number of routing-tree descendants (Fig. 11), because the most
   loaded nodes (near the root) determine network lifetime.
 
-:class:`TransmissionStats` is the single accounting sink both join
-implementations write into.  Every ``record_tx`` call is tagged with the
-sending node and a phase label, so any of the paper's breakdowns can be
-recovered afterwards.
+:class:`TransmissionStats` is the single accounting store: the channel
+writes each send into it once, and nothing else records traffic.  Every
+record is tagged with the node and a phase label, so any of the paper's
+breakdowns can be recovered afterwards, and energy is these counts priced
+by an :class:`~repro.sim.energy.EnergyModel` when read.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping
+
+from .energy import EnergyModel
 
 __all__ = ["TransmissionStats", "NodeLoad", "PHASE_LABELS"]
 
@@ -46,6 +49,7 @@ class NodeLoad:
     rx_bytes: int
     #: ARQ retransmissions; zero on a lossless channel.
     retx_packets: int = 0
+    retx_bytes: int = 0
 
     @property
     def total_packets(self) -> int:
@@ -98,67 +102,95 @@ class TransmissionStats:
 
     # -- aggregation ---------------------------------------------------------
 
-    def total_tx_packets(self, phases: Iterable[str] | None = None) -> int:
-        """Total transmissions network-wide, optionally restricted to phases."""
+    @staticmethod
+    def _phase_sums(
+        table: Dict[int, Dict[str, int]], phases: Iterable[str] | None = None
+    ) -> Dict[str, int]:
+        """Network-wide count per phase of one table, optionally restricted."""
         wanted = None if phases is None else set(phases)
-        total = 0
-        for by_phase in self._tx_packets.values():
-            for phase, count in by_phase.items():
-                if wanted is None or phase in wanted:
-                    total += count
-        return total
-
-    def total_tx_bytes(self, phases: Iterable[str] | None = None) -> int:
-        """Total payload bytes transmitted network-wide."""
-        wanted = None if phases is None else set(phases)
-        total = 0
-        for by_phase in self._tx_bytes.values():
-            for phase, count in by_phase.items():
-                if wanted is None or phase in wanted:
-                    total += count
-        return total
-
-    def tx_packets_by_phase(self) -> Dict[str, int]:
-        """Network-wide transmissions per phase (Fig. 15 breakdown)."""
         result: Dict[str, int] = defaultdict(int)
-        for by_phase in self._tx_packets.values():
+        for by_phase in table.values():
             for phase, count in by_phase.items():
-                result[phase] += count
+                if wanted is None or phase in wanted:
+                    result[phase] += count
         return dict(result)
 
-    def node_tx_packets(self, node_id: int, phases: Iterable[str] | None = None) -> int:
-        """Transmissions by one node, optionally restricted to phases."""
-        by_phase = self._tx_packets.get(node_id, {})
+    @staticmethod
+    def _node_sum(
+        table: Dict[int, Dict[str, int]],
+        node_id: int,
+        phases: Iterable[str] | None = None,
+    ) -> int:
+        """One node's count in one table, optionally restricted to phases."""
+        by_phase = table.get(node_id, {})
         if phases is None:
             return sum(by_phase.values())
         wanted = set(phases)
         return sum(count for phase, count in by_phase.items() if phase in wanted)
 
-    def node_rx_packets(self, node_id: int) -> int:
-        """Packets received by one node across all phases."""
-        return sum(self._rx_packets.get(node_id, {}).values())
+    def total_tx_packets(self, phases: Iterable[str] | None = None) -> int:
+        """Total transmissions network-wide, optionally restricted to phases."""
+        return sum(self._phase_sums(self._tx_packets, phases).values())
+
+    def total_tx_bytes(self, phases: Iterable[str] | None = None) -> int:
+        """Total payload bytes transmitted network-wide."""
+        return sum(self._phase_sums(self._tx_bytes, phases).values())
+
+    def tx_packets_by_phase(self) -> Dict[str, int]:
+        """Network-wide transmissions per phase (Fig. 15 breakdown)."""
+        return self._phase_sums(self._tx_packets)
+
+    def node_tx_packets(self, node_id: int, phases: Iterable[str] | None = None) -> int:
+        """Transmissions by one node, optionally restricted to phases."""
+        return self._node_sum(self._tx_packets, node_id, phases)
+
+    def node_rx_packets(self, node_id: int, phases: Iterable[str] | None = None) -> int:
+        """Packets received by one node, optionally restricted to phases."""
+        return self._node_sum(self._rx_packets, node_id, phases)
 
     def total_retx_packets(self, phases: Iterable[str] | None = None) -> int:
         """Total ARQ retransmissions network-wide, optionally per phases."""
-        wanted = None if phases is None else set(phases)
-        total = 0
-        for by_phase in self._retx_packets.values():
-            for phase, count in by_phase.items():
-                if wanted is None or phase in wanted:
-                    total += count
-        return total
+        return sum(self._phase_sums(self._retx_packets, phases).values())
 
     def retx_packets_by_phase(self) -> Dict[str, int]:
         """Network-wide ARQ retransmissions per phase."""
-        result: Dict[str, int] = defaultdict(int)
-        for by_phase in self._retx_packets.values():
-            for phase, count in by_phase.items():
-                result[phase] += count
-        return dict(result)
+        return self._phase_sums(self._retx_packets)
 
     def node_retx_packets(self, node_id: int) -> int:
         """ARQ retransmissions by one node across all phases."""
-        return sum(self._retx_packets.get(node_id, {}).values())
+        return self._node_sum(self._retx_packets, node_id)
+
+    def node_energy(self, node_id: int, model: EnergyModel) -> float:
+        """Energy one node spent, priced by ``model``.
+
+        Transmissions and ARQ retransmissions pay the transmit prices,
+        receptions the receive prices.
+        """
+        return model.tx_energy(
+            self._node_sum(self._tx_packets, node_id)
+            + self._node_sum(self._retx_packets, node_id),
+            self._node_sum(self._tx_bytes, node_id)
+            + self._node_sum(self._retx_bytes, node_id),
+        ) + model.rx_energy(
+            self._node_sum(self._rx_packets, node_id),
+            self._node_sum(self._rx_bytes, node_id),
+        )
+
+    def total_energy(self, model: EnergyModel) -> float:
+        """Network-wide energy, priced by ``model`` like :meth:`node_energy`.
+
+        Priced from the network-wide counts, so one read walks each table
+        once.  It equals the sum of every node's :meth:`node_energy` exactly
+        whenever the prices are binary fractions, as the defaults are.
+        """
+
+        def total(table: Dict[int, Dict[str, int]]) -> int:
+            return sum(self._phase_sums(table).values())
+
+        return model.tx_energy(
+            total(self._tx_packets) + total(self._retx_packets),
+            total(self._tx_bytes) + total(self._retx_bytes),
+        ) + model.rx_energy(total(self._rx_packets), total(self._rx_bytes))
 
     def per_node_loads(self, descendants: Mapping[int, int]) -> list[NodeLoad]:
         """Per-node load rows joined with routing-tree descendant counts.
@@ -172,17 +204,19 @@ class TransmissionStats:
             | set(self._rx_packets)
             | set(self._retx_packets)
         )
+        node_sum = self._node_sum
         rows = []
         for node_id in sorted(node_ids):
             rows.append(
                 NodeLoad(
                     node_id=node_id,
                     descendants=descendants.get(node_id, 0),
-                    tx_packets=sum(self._tx_packets.get(node_id, {}).values()),
-                    tx_bytes=sum(self._tx_bytes.get(node_id, {}).values()),
-                    rx_packets=sum(self._rx_packets.get(node_id, {}).values()),
-                    rx_bytes=sum(self._rx_bytes.get(node_id, {}).values()),
-                    retx_packets=sum(self._retx_packets.get(node_id, {}).values()),
+                    tx_packets=node_sum(self._tx_packets, node_id),
+                    tx_bytes=node_sum(self._tx_bytes, node_id),
+                    rx_packets=node_sum(self._rx_packets, node_id),
+                    rx_bytes=node_sum(self._rx_bytes, node_id),
+                    retx_packets=node_sum(self._retx_packets, node_id),
+                    retx_bytes=node_sum(self._retx_bytes, node_id),
                 )
             )
         return rows
@@ -193,24 +227,3 @@ class TransmissionStats:
         for node_id in self._tx_packets:
             best = max(best, self.node_tx_packets(node_id, phases))
         return best
-
-    def merge(self, other: "TransmissionStats") -> None:
-        """Add every counter of ``other`` into this collector."""
-        for node_id, by_phase in other._tx_packets.items():
-            for phase, count in by_phase.items():
-                self._tx_packets[node_id][phase] += count
-        for node_id, by_phase in other._tx_bytes.items():
-            for phase, count in by_phase.items():
-                self._tx_bytes[node_id][phase] += count
-        for node_id, by_phase in other._rx_packets.items():
-            for phase, count in by_phase.items():
-                self._rx_packets[node_id][phase] += count
-        for node_id, by_phase in other._rx_bytes.items():
-            for phase, count in by_phase.items():
-                self._rx_bytes[node_id][phase] += count
-        for node_id, by_phase in other._retx_packets.items():
-            for phase, count in by_phase.items():
-                self._retx_packets[node_id][phase] += count
-        for node_id, by_phase in other._retx_bytes.items():
-            for phase, count in by_phase.items():
-                self._retx_bytes[node_id][phase] += count

@@ -26,8 +26,8 @@ The invariants, in catalogue order:
     Z-order interleaving and the quadtree pack/encode paths are lossless
     round trips.
 ``energy-reconciles``
-    Per-phase telemetry counters, the affine radio model, and the per-node
-    energy ledgers tell the same story (to float-rounding tolerance).
+    Per-phase telemetry counters, the affine radio model, and the network's
+    energy total tell the same story (to float-rounding tolerance).
 ``deterministic-replay``
     Re-executing the same spec from scratch yields an identical outcome
     fingerprint (results, costs, timings — exact floats, no rounding).
@@ -341,7 +341,7 @@ INVARIANTS: Dict[str, Invariant] = {
         Invariant(
             "energy-reconciles",
             "Per-phase telemetry counters, the affine radio model, and the "
-            "energy ledgers agree to rounding tolerance.",
+            "network's energy total agree to rounding tolerance.",
             check_energy_reconciles,
         ),
         Invariant(

@@ -6,9 +6,12 @@ gate, exit codes), not the measurements themselves.
 """
 
 import json
+import re
+import shlex
 
 import pytest
 
+from repro.bench.__main__ import build_parser
 from repro.bench.__main__ import main as bench_main
 from repro.bench.perf import (
     SCHEMA,
@@ -41,7 +44,7 @@ class TestSuite:
     def test_covers_all_three_layers(self):
         suite = build_suite()
         groups = {bench.group for bench in suite}
-        assert {"codec", "kernel", "e2e"} <= groups
+        assert {"codec", "kernel", "scale"} <= groups
         keys = [bench.key for bench in suite]
         for required in (
             "codec.quantize_encode",
@@ -54,11 +57,6 @@ class TestSuite:
             "kernel.events_depth64",
         ):
             assert required in keys
-        # e2e covers both engines at three or more node counts.
-        e2e = [bench.name for bench in suite if bench.group == "e2e"]
-        assert len({name.split("_n")[1] for name in e2e}) >= 3
-        assert any(name.startswith("sens-join") for name in e2e)
-        assert any(name.startswith("des-sensjoin") for name in e2e)
 
     def test_optimized_kernels_carry_reference_twins(self):
         by_key = {bench.key: bench for bench in build_suite()}
@@ -72,9 +70,9 @@ class TestSuite:
         ):
             assert by_key[key].reference is not None, key
 
-    def test_e2e_and_setops_are_untracked(self):
+    def test_setops_are_untracked(self):
         for bench in build_suite():
-            if bench.group in ("e2e", "setops"):
+            if bench.group == "setops":
                 assert not bench.tracked
             else:
                 assert bench.tracked
@@ -318,6 +316,19 @@ class TestTrendCli:
         captured = capsys.readouterr()
         assert "skipping BENCH_2.json" in captured.err
         assert "+100.0%" in captured.out
+
+    def test_hint_commands_parse(self, tmp_path, capsys):
+        # Both hints (no history, a single snapshot) name a command; each
+        # must be one the CLI accepts.
+        bench_main(["trend", "--results-dir", str(tmp_path)])
+        _write_snapshot(tmp_path / "BENCH_1.json", 10.0)
+        bench_main(["trend", "--results-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        hints = captured.out + captured.err
+        commands = re.findall(r"`python -m repro\.bench ([^`]*)`", hints)
+        assert len(commands) == 2
+        for command in commands:
+            build_parser().parse_args(shlex.split(command))
 
     def test_committed_history_passes_check(self, capsys):
         # The repo ships >= 2 snapshots so `trend` has a real trajectory.

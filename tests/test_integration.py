@@ -79,17 +79,35 @@ def test_accounting_consistency(small_network, small_world, tail_query):
     assert per_phase_total == stats.total_tx_packets()
 
 
-def test_energy_consistent_with_packets(small_network, small_world, tail_query):
-    """Every counted packet must have been charged to a ledger."""
-    outcome = run_snapshot(small_network, small_world, tail_query(1.5), tree_seed=11)
-    ledger_packets = sum(
-        small_network.nodes[n].ledger.tx_packets for n in small_network.node_ids
-    )
-    assert ledger_packets == outcome.stats.total_tx_packets()
-    energy = sum(
-        small_network.nodes[n].ledger.total_energy for n in small_network.node_ids
-    )
-    assert energy > 0
+def test_energy_consistent_with_packets(tail_query):
+    """Every node's energy is exactly its recorded traffic, priced by the model.
+
+    Run under loss so retransmissions are priced too.  The default prices
+    are binary fractions, so the sums are exact and ``==`` is the check.
+    """
+    config = DeploymentConfig(node_count=200, area_side_m=383.0, seed=11, loss_rate=0.2)
+    network = deploy_uniform(config)
+    world = SensorWorld.homogeneous(network, seed=11, area_side_m=config.area_side_m)
+    outcome = run_snapshot(network, world, tail_query(1.5), tree_seed=11)
+    stats = outcome.stats
+    assert stats.total_retx_packets() > 0
+    model = network.energy_model
+    loads = {load.node_id: load for load in stats.per_node_loads({})}
+    spent = network.energy_by_node()
+    assert set(spent) == set(network.nodes) >= set(loads)
+    for node_id, energy in spent.items():
+        load = loads.get(node_id)
+        if load is None:
+            assert energy == 0.0
+            continue
+        assert energy == (
+            model.tx_per_packet * (load.tx_packets + load.retx_packets)
+            + model.tx_per_byte * (load.tx_bytes + load.retx_bytes)
+            + model.rx_per_packet * load.rx_packets
+            + model.rx_per_byte * load.rx_bytes
+        )
+    assert network.total_energy() == sum(spent.values())
+    assert network.total_energy() > 0
 
 
 def test_snapshot_isolation_between_algorithms(small_network, small_world, tail_query):

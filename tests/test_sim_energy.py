@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.energy import EnergyLedger, EnergyModel
+from repro.sim.energy import EnergyModel
 
 
 def test_tx_cost_is_affine():
@@ -44,50 +44,21 @@ def test_shrink_bounds_validated():
         model.relative_saving_from_shrinking(20, -1)
 
 
-def test_ledger_accumulates_tx_and_rx():
-    ledger = EnergyLedger()
-    ledger.charge_tx(40, packets=1)
-    ledger.charge_tx(96, packets=2)
-    ledger.charge_rx(40, packets=1)
-    assert ledger.tx_packets == 3
-    assert ledger.tx_bytes == 136
-    assert ledger.rx_packets == 1
-    assert ledger.rx_bytes == 40
-    assert ledger.total_energy == ledger.tx_energy + ledger.rx_energy
-    assert ledger.tx_energy > 0 and ledger.rx_energy > 0
-
-
-def test_ledger_charge_returns_cost():
-    ledger = EnergyLedger()
-    cost = ledger.charge_tx(10, packets=1)
-    assert cost == ledger.tx_energy
-
-
-def test_ledger_zero_packets_charges_bytes_only():
-    ledger = EnergyLedger()
-    ledger.charge_tx(0, packets=0)
-    assert ledger.tx_energy == 0.0
-
-
-def test_ledger_negative_packets_rejected():
-    ledger = EnergyLedger()
-    with pytest.raises(ValueError):
-        ledger.charge_tx(10, packets=-1)
-
-
-def test_ledger_reset():
-    ledger = EnergyLedger()
-    ledger.charge_tx(48, 1)
-    ledger.charge_rx(48, 1)
-    ledger.reset()
-    assert ledger.total_energy == 0.0
-    assert ledger.tx_packets == ledger.rx_packets == 0
-    assert ledger.tx_bytes == ledger.rx_bytes == 0
-
-
 def test_per_packet_overhead_dominates_default_model():
     """The default parameters must make packet count the primary cost."""
     model = EnergyModel()
     one_full = model.tx_cost(48)
     two_small = 2 * model.tx_cost(24)
     assert two_small > one_full
+
+
+def test_batch_energy_charges_overhead_per_packet_and_bytes_once():
+    model = EnergyModel(
+        tx_per_packet=100.0, tx_per_byte=2.0, rx_per_packet=50.0, rx_per_byte=1.0
+    )
+    assert model.tx_energy(2, 96) == 2 * 100.0 + 96 * 2.0
+    assert model.rx_energy(2, 96) == 2 * 50.0 + 96 * 1.0
+    assert model.tx_energy(0, 0) == model.rx_energy(0, 0) == 0.0
+    # One packet in a batch costs what a single packet costs.
+    assert model.tx_energy(1, 40) == model.tx_cost(40)
+    assert model.rx_energy(1, 40) == model.rx_cost(40)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.energy import EnergyModel
 from repro.sim.stats import NodeLoad, TransmissionStats
 
 
@@ -63,20 +64,6 @@ def test_negative_counts_rejected():
         stats.record_rx(1, "a", 0, -1)
 
 
-def test_merge_adds_counters():
-    a = TransmissionStats()
-    b = TransmissionStats()
-    a.record_tx(1, "x", 1, 10)
-    b.record_tx(1, "x", 2, 20)
-    b.record_tx(2, "y", 3, 30)
-    b.record_rx(2, "y", 1, 5)
-    a.merge(b)
-    assert a.node_tx_packets(1) == 3
-    assert a.node_tx_packets(2) == 3
-    assert a.node_rx_packets(2) == 1
-    assert a.total_tx_bytes() == 60
-
-
 def test_per_node_loads_sum_matches_totals():
     stats = TransmissionStats()
     for node, packets in ((1, 4), (2, 5), (3, 6)):
@@ -104,15 +91,6 @@ def test_record_retx_rejects_negative():
         stats.record_retx(1, "p", -1, 0)
 
 
-def test_merge_adds_retx_counters():
-    a = TransmissionStats()
-    b = TransmissionStats()
-    a.record_retx(1, "x", 1, 10)
-    b.record_retx(1, "x", 2, 20)
-    a.merge(b)
-    assert a.total_retx_packets() == 3
-
-
 def test_per_node_loads_include_retx():
     stats = TransmissionStats()
     stats.record_tx(1, "p", 4, 40)
@@ -122,3 +100,32 @@ def test_per_node_loads_include_retx():
     assert loads[1].retx_packets == 2
     assert loads[1].total_packets == 4  # retx excluded from the paper metric
     assert loads[7].retx_packets == 1
+
+
+def test_energy_priced_from_counts():
+    model = EnergyModel(
+        tx_per_packet=100.0, tx_per_byte=2.0, rx_per_packet=50.0, rx_per_byte=1.0
+    )
+    stats = TransmissionStats()
+    stats.record_tx(1, "a", 2, 10)
+    stats.record_tx(1, "b", 1, 5)
+    stats.record_retx(1, "a", 1, 4)
+    stats.record_rx(2, "a", 2, 10)
+    # Retransmissions pay the transmit prices; receptions the receive ones.
+    assert stats.node_energy(1, model) == 4 * 100.0 + 19 * 2.0
+    assert stats.node_energy(2, model) == 2 * 50.0 + 10 * 1.0
+    assert stats.node_energy(3, model) == 0.0
+    spent = stats.node_energy(1, model) + stats.node_energy(2, model)
+    assert stats.total_energy(model) == spent
+    assert TransmissionStats().total_energy(model) == 0.0
+
+
+def test_node_counts_restricted_to_phases():
+    stats = TransmissionStats()
+    stats.record_rx(4, "a", 2, 10)
+    stats.record_rx(4, "b", 3, 10)
+    assert stats.node_rx_packets(4) == 5
+    assert stats.node_rx_packets(4, ["b"]) == 3
+    assert stats.node_rx_packets(4, ["missing-phase"]) == 0
+    loads = {load.node_id: load for load in stats.per_node_loads({})}
+    assert loads[4].rx_bytes == 20

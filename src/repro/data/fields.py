@@ -31,7 +31,7 @@ temporal phase in the Fourier features.
 from __future__ import annotations
 
 import math
-from typing import Protocol, Sequence
+from typing import Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +76,14 @@ class GaussianProcessField:
     drift_rate:
         Temporal angular velocity (rad/s) of each feature; 0 freezes the
         field (snapshot queries).
+
+    A frozen field (every ``omega_k`` is 0) keeps its last evaluation and
+    returns a copy of it when sampled again at element-wise equal
+    positions and a finite ``t``.  The reuse is exact: ``t * 0.0`` adds
+    ±0.0 to every phase and ``cos(+0.0) == cos(-0.0)``, so the value does
+    not depend on ``t``.  Stationary nodes queried again and again thus pay
+    for the n × K cosines once per node layout.  A drifting field, a
+    non-finite ``t`` or new positions evaluate afresh.
     """
 
     def __init__(
@@ -93,6 +101,8 @@ class GaussianProcessField:
             raise ValueError(f"length_scale must be positive: {length_scale}")
         if features < 1:
             raise ValueError(f"need at least one feature: {features}")
+        if not (math.isfinite(drift_rate) and drift_rate >= 0):
+            raise ValueError(f"drift_rate must be finite and non-negative: {drift_rate}")
         self.mean = mean
         self.std = std
         self.length_scale = length_scale
@@ -103,18 +113,33 @@ class GaussianProcessField:
             rng.normal(0.0, drift_rate, size=features) if drift_rate > 0 else np.zeros(features)
         )
         self._amplitude = std * math.sqrt(2.0 / features)
+        self._frozen = not self._omega.any()
+        #: ``(xs, ys, values)`` of the last frozen evaluation, all copies.
+        self._last: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def sample(self, xs: np.ndarray, ys: np.ndarray, t: float = 0.0) -> np.ndarray:
         """Vectorised evaluation at points ``(xs[i], ys[i])``."""
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
+        reuse = self._frozen and math.isfinite(t)
+        last = self._last
+        if (
+            reuse
+            and last is not None
+            and np.array_equal(last[0], xs)
+            and np.array_equal(last[1], ys)
+        ):
+            return last[2].copy()
         phases = (
             np.outer(xs, self._w[:, 0])
             + np.outer(ys, self._w[:, 1])
             + self._b[None, :]
             + t * self._omega[None, :]
         )
-        return self.mean + self._amplitude * np.cos(phases).sum(axis=1)
+        values = self.mean + self._amplitude * np.cos(phases).sum(axis=1)
+        if reuse:
+            self._last = (xs.copy(), ys.copy(), values.copy())
+        return values
 
     def value(self, x: float, y: float, t: float = 0.0) -> float:
         """Scalar evaluation at one point."""

@@ -137,19 +137,26 @@ class SensorWorld:
 
         This models the single sensor acquisition per query execution
         (§IV-D: "As any other join algorithm, SENS-Join reads the sensors
-        exactly once").
+        exactly once").  Every node gets a fresh readings dict.  A frozen
+        :class:`~repro.data.fields.GaussianProcessField` reuses its last
+        evaluation when the alive nodes sit where they sat at the previous
+        snapshot, which leaves every reading bit-identical (see that class);
+        a move, a revival or a failure changes the positions sampled, so
+        the next snapshot evaluates afresh.
         """
+        nodes = self.network.nodes
         sensor_ids = self.network.sensor_node_ids
-        xs = np.array([self.network.nodes[i].x for i in sensor_ids])
-        ys = np.array([self.network.nodes[i].y for i in sensor_ids])
-        samples = {
-            name: field.sample(xs, ys, t) for name, field in self.fields.items()
-        }
+        xs = np.array([nodes[i].x for i in sensor_ids])
+        ys = np.array([nodes[i].y for i in sensor_ids])
+        columns = [
+            (name, np.asarray(field.sample(xs, ys, t), dtype=float).tolist())
+            for name, field in self.fields.items()
+        ]
         for index, node_id in enumerate(sensor_ids):
-            node = self.network.nodes[node_id]
+            node = nodes[node_id]
             readings: Dict[str, float] = {"x": node.x, "y": node.y}
-            for name, values in samples.items():
-                readings[name] = float(values[index])
+            for name, values in columns:
+                readings[name] = values[index]
             node.readings = readings
         self.snapshot_time = t
 

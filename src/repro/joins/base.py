@@ -26,6 +26,7 @@ from ..codec.quantize import Quantizer
 from ..data.relations import SensorWorld
 from ..errors import ProtocolError, QueryError
 from ..query.evaluate import JoinResult, Row, evaluate_join
+from ..query.expressions import Predicate
 from ..query.query import JoinQuery
 from ..routing.tree import RoutingTree
 from ..sim.network import Network
@@ -83,6 +84,17 @@ class TupleFormat:
             raise QueryError("query has no join attributes")
         self.quantizer = Quantizer.for_attributes(world.catalog, self.join_attributes)
         self.codec = QuadtreeCodec.for_quantizer(self.quantizer, alias_count=len(self.aliases))
+        #: Per alias, what :func:`node_tuple` tests at every node:
+        #: ``alias -> (relation, selection predicates, flag bit)``.  Splitting
+        #: the WHERE clause once here spares a re-split per node and alias.
+        self.alias_plan: Dict[str, Tuple[str, Tuple[Predicate, ...], int]] = {
+            alias: (
+                query.relation_of(alias),
+                tuple(query.selection_predicates(alias)),
+                self.alias_bit(alias),
+            )
+            for alias in self.aliases
+        }
         # Size-only encodes repeat heavily: the same point set is re-sized at
         # every unpruned hop of a filter chain and in every store/forward
         # decision.  frozenset keys make the memo safe (immutable) and cheap
@@ -147,13 +159,14 @@ def node_tuple(
     if not node.alive or node.is_base_station:
         return None, 0
     flags = 0
-    for alias in fmt.aliases:
-        relation = fmt.query.relation_of(alias)
+    for alias, (relation, predicates, bit) in fmt.alias_plan.items():
         if not node.belongs_to(relation):
             continue
-        env = {(alias, name): value for name, value in node.readings.items()}
-        if all(pred.evaluate(env) for pred in fmt.query.selection_predicates(alias)):
-            flags |= fmt.alias_bit(alias)
+        if predicates:
+            env = {(alias, name): value for name, value in node.readings.items()}
+            if not all(pred.evaluate(env) for pred in predicates):
+                continue
+        flags |= bit
     if flags == 0:
         return None, 0
     try:

@@ -40,9 +40,10 @@ class SensorNode:
         via the ``x``/``y`` attributes and the ``distance()`` function.
     readings:
         Current snapshot of sensor values, keyed by sensor name (e.g.
-        ``"temp"``).  Refreshed by :meth:`repro.data.relations.SensorField`
-        per query execution; a join algorithm reads the sensors exactly once
-        per execution (§IV-D).
+        ``"temp"``).  Replaced by
+        :meth:`repro.data.relations.SensorWorld.take_snapshot` per query
+        execution; a join algorithm reads the sensors exactly once per
+        execution (§IV-D).
     relations:
         Names of the sensor relations this node belongs to.  Homogeneous
         networks put every node in the single relation ``"sensors"``;

@@ -62,6 +62,72 @@ def test_gp_field_validation():
         GaussianProcessField(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         GaussianProcessField(0.0, 1.0, 10.0, features=0)
+    with pytest.raises(ValueError, match="drift_rate"):
+        GaussianProcessField(0.0, 1.0, 10.0, drift_rate=-0.5)
+    with pytest.raises(ValueError, match="drift_rate"):
+        GaussianProcessField(0.0, 1.0, 10.0, drift_rate=float("nan"))
+
+
+def _points(count=50, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 500, count), rng.uniform(0, 500, count)
+
+
+def _fresh(xs, ys, t=0.0, drift_rate=0.0):
+    """The reference: a new instance has no stored evaluation to reuse."""
+    return GaussianProcessField(20.0, 3.0, 100.0, seed=1, drift_rate=drift_rate).sample(xs, ys, t)
+
+
+def test_frozen_gp_field_reuse_is_bitwise_exact():
+    xs, ys = _points()
+    field = GaussianProcessField(20.0, 3.0, 100.0, seed=1)
+    reference = _fresh(xs, ys).tobytes()
+    for t in (0.0, 42.0, -3.5):
+        assert field.sample(xs, ys, t).tobytes() == reference
+    # Equal positions in new arrays reuse the stored values as well.
+    assert field.sample(xs.copy(), ys.copy()).tobytes() == reference
+
+
+def test_frozen_gp_field_new_positions_evaluate_afresh():
+    xs, ys = _points()
+    field = GaussianProcessField(20.0, 3.0, 100.0, seed=1)
+    field.sample(xs, ys)
+    moved = xs.copy()
+    moved[7] += 1.0
+    for new_xs, new_ys in ((moved, ys), (xs[:-1], ys[:-1]), _points(seed=1), (xs, ys)):
+        assert field.sample(new_xs, new_ys).tobytes() == _fresh(new_xs, new_ys).tobytes()
+
+
+def test_drifting_gp_field_follows_time():
+    xs, ys = _points()
+    field = GaussianProcessField(20.0, 3.0, 100.0, seed=1, drift_rate=0.5)
+    at_zero = field.sample(xs, ys, 0.0)
+    later = field.sample(xs, ys, 100.0)
+    assert later.tobytes() == _fresh(xs, ys, 100.0, drift_rate=0.5).tobytes()
+    assert not np.array_equal(later, at_zero)
+
+
+def test_gp_field_non_finite_time_is_not_reused():
+    xs, ys = _points()
+    field = GaussianProcessField(20.0, 3.0, 100.0, seed=1)
+    field.sample(xs, ys)
+    with np.errstate(invalid="ignore"):  # inf * 0.0 is NaN, as without reuse
+        assert np.isnan(field.sample(xs, ys, float("inf"))).all()
+    assert field.sample(xs, ys).tobytes() == _fresh(xs, ys).tobytes()
+
+
+def test_gp_field_result_is_the_callers_copy():
+    xs, ys = _points()
+    field = GaussianProcessField(20.0, 3.0, 100.0, seed=1)
+    reference = _fresh(xs, ys).tobytes()
+    for _ in range(3):  # cold, then reused twice
+        result = field.sample(xs, ys)
+        assert result.tobytes() == reference
+        result[:] = 0.0
+    # The stored positions are copies too: moving the caller's array in
+    # place must not make the old values look current.
+    xs[0] += 5.0
+    assert field.sample(xs, ys).tobytes() == _fresh(xs, ys).tobytes()
 
 
 def test_gradient_field_exact_without_noise():

@@ -101,3 +101,52 @@ def test_snapshot_time_recorded(small_world):
     assert small_world.snapshot_time == 0.0
     small_world.take_snapshot(42.0)
     assert small_world.snapshot_time == 42.0
+
+
+def _readings_bits(network):
+    """Every alive node's readings, with each value as its exact bit pattern."""
+    return {
+        node_id: {name: value.hex() for name, value in network.nodes[node_id].readings.items()}
+        for node_id in network.sensor_node_ids
+    }
+
+
+def _fresh_readings(network):
+    """Readings from a new world, which has no evaluation to reuse."""
+    SensorWorld.homogeneous(network, seed=11).take_snapshot(0.0)
+    return _readings_bits(network)
+
+
+def _fail_then_revive(world, node_id):
+    world.network.fail_node(node_id)
+    world.take_snapshot(0.0)
+    world.network.revive_node(node_id, 30.0, 40.0)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda world, node_id: world.network.move_node(node_id, 10.0, 20.0),
+        lambda world, node_id: world.network.fail_node(node_id),
+        _fail_then_revive,
+    ],
+    ids=["move_node", "fail_node", "revive_node"],
+)
+def test_snapshot_after_topology_change_matches_fresh_world(small_network, mutate):
+    world = SensorWorld.homogeneous(small_network, seed=11)
+    world.take_snapshot(0.0)
+    mutate(world, small_network.sensor_node_ids[5])
+    world.take_snapshot(0.0)
+    reused = _readings_bits(small_network)
+    assert reused == _fresh_readings(small_network)
+    # The first world, sampled again at another t, reuses what it stored.
+    world.take_snapshot(3.0)
+    assert _readings_bits(small_network) == reused
+
+
+def test_snapshot_writes_fresh_readings_dicts(small_world, small_network):
+    node = small_network.nodes[small_network.sensor_node_ids[0]]
+    before = node.readings
+    small_world.take_snapshot(0.0)
+    assert node.readings is not before
+    assert node.readings == before

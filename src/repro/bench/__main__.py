@@ -18,8 +18,8 @@ Three subcommands (full guide: ``docs/benchmarking.md``):
     without re-running anything.
 
 ``perf`` / ``trend``
-    Time the codec/kernel/scale micro kernels against the latest committed
-    ``BENCH_<n>.json`` snapshot, and render the whole snapshot history as
+    Time the codec/kernel/scale/query micro kernels against the latest
+    committed ``BENCH_<n>.json`` snapshot, and render the whole snapshot history as
     per-kernel sparklines (``trend --check`` validates the history).
     End-to-end timing is the repo's benchmark (``BENCHMARK.json``,
     ``benchmarks/e2e/run.py``), not a subcommand here.
@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = commands.add_parser(
         "perf",
-        help="time codec/kernel/scale micro kernels; write BENCH_<n>.json snapshots",
+        help="time codec/kernel/scale/query micro kernels; write BENCH_<n>.json snapshots",
     )
     from .perf import add_perf_arguments
 

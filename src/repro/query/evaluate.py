@@ -4,11 +4,15 @@ Two evaluators live here, both driven by the same query AST:
 
 :func:`evaluate_join`
     **Exact** n-way join over full tuples (raw sensor values).  Used for the
-    final result computation of both SENS-Join and the external join.  It is
-    a vectorised nested-loop join: aliases are bound one at a time, every
-    join conjunct is applied as soon as all the aliases it references are
-    bound (early pruning), and all arithmetic runs in numpy over index
-    arrays — thousands of tuples join in milliseconds.
+    final result computation of both SENS-Join and the external join, by
+    every baseline, by the lossless oracle and by threshold calibration.
+    It is a nested-loop join that binds one alias at a time, in FROM
+    order.  Each join conjunct fires at the first step where every alias
+    it references is bound (early pruning).  A step tests blocks of the
+    surviving partial combinations against all of the new alias's tuples
+    at once through numpy broadcasting, so it never materialises the
+    cross product: the working memory of a step is bounded by
+    :data:`_BLOCK_ELEMENTS`, whatever the relation sizes.
 
 :func:`conservative_semijoin`
     **Conservative** n-way semi-join over quantization-cell intervals.  Used
@@ -19,7 +23,7 @@ Two evaluators live here, both driven by the same query AST:
     the quantized relations.
 
 Both share :class:`Row` — one tuple with its originating node id — and the
-incremental binding engine :func:`_expand_combinations`.
+conjunct schedule :func:`_conjunct_schedule`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..errors import EvaluationError, QueryError
-from .expressions import Aggregate, ColumnRef, Predicate
+from .expressions import Aggregate, ColumnRef, Expression, Predicate
 from .query import JoinQuery
 
 __all__ = ["Row", "JoinResult", "evaluate_join", "conservative_semijoin", "CellBounds"]
@@ -65,16 +69,26 @@ class JoinResult:
     def __init__(
         self,
         aliases: Tuple[str, ...],
-        node_combos: np.ndarray,
+        alias_node_ids: Sequence[np.ndarray],
+        matches: np.ndarray,
         row_columns: "Dict[str, np.ndarray]",
     ):
         self.aliases = tuple(aliases)
-        # (match_count, n_aliases) int array of contributing node ids.
-        self._node_combos = np.asarray(node_combos, dtype=int).reshape(-1, len(aliases))
+        # Per alias, the node id of each of its input rows.
+        self._alias_node_ids = tuple(np.asarray(ids, dtype=int) for ids in alias_node_ids)
+        # (match_count, n_aliases) int array of row indices into those ids.
+        self._matches = np.asarray(matches, dtype=int).reshape(-1, len(aliases))
         # SELECT output as column arrays, all of equal length.
         self._row_columns = row_columns
         self._rows_cache: Optional[List[Dict[str, float]]] = None
         self._combos_cache: Optional[List[Tuple[int, ...]]] = None
+
+    @property
+    def _node_combos(self) -> np.ndarray:
+        """(match_count, n_aliases) int array of contributing node ids."""
+        return np.column_stack(
+            [node_ids[self._matches[:, p]] for p, node_ids in enumerate(self._alias_node_ids)]
+        )
 
     @classmethod
     def from_lists(
@@ -89,7 +103,13 @@ class JoinResult:
         columns = {
             label: np.array([row[label] for row in rows], dtype=float) for label in labels
         }
-        return cls(aliases, combo_array, columns)
+        match_rows = np.arange(combo_array.shape[0])
+        return cls(
+            aliases,
+            combo_array.T,
+            np.repeat(match_rows[:, None], len(aliases), axis=1),
+            columns,
+        )
 
     @property
     def rows(self) -> List[Dict[str, float]]:
@@ -120,7 +140,7 @@ class JoinResult:
     @property
     def match_count(self) -> int:
         """Number of joining tuple combinations (pre-aggregation)."""
-        return int(self._node_combos.shape[0])
+        return int(self._matches.shape[0])
 
     def contributing_nodes(self, alias: str) -> Set[int]:
         """Node ids whose tuple (under ``alias``) joins at least once."""
@@ -128,15 +148,22 @@ class JoinResult:
             position = self.aliases.index(alias)
         except ValueError:
             raise QueryError(f"unknown alias {alias!r}") from None
-        if self._node_combos.size == 0:
-            return set()
-        return {int(v) for v in np.unique(self._node_combos[:, position])}
+        return set(self._contributors(position))
 
     def all_contributing_nodes(self) -> Set[int]:
         """Node ids contributing under any alias."""
-        if self._node_combos.size == 0:
-            return set()
-        return {int(v) for v in np.unique(self._node_combos)}
+        return set().union(*map(self._contributors, range(len(self.aliases))))
+
+    def _contributors(self, position: int) -> List[int]:
+        """Node ids joining under the alias at ``position``, maybe repeated.
+
+        The joining input rows are marked in a mask sized by the alias's
+        input, so node-id values never index it.
+        """
+        node_ids = self._alias_node_ids[position]
+        joined = np.zeros(len(node_ids), dtype=bool)
+        joined[self._matches[:, position]] = True
+        return node_ids[joined].tolist()
 
     def signature(self, digits: int = 9) -> tuple:
         """Order-independent fingerprint for cross-algorithm comparison.
@@ -233,27 +260,18 @@ def evaluate_join(
 
     combos = _expand_exact(query, aliases, working)
     match_count = combos.shape[0]
+    node_ids = [np.array([row.node_id for row in working[alias]], dtype=int) for alias in aliases]
 
     # SELECT evaluation over the surviving combinations, vectorised.
     env: Dict[ColumnRef, np.ndarray] = {}
-    node_combos = np.zeros((match_count, len(aliases)), dtype=int)
     for position, alias in enumerate(aliases):
         rows = working[alias]
-        indices = combos[:, position] if match_count else np.zeros(0, dtype=int)
-        node_ids = np.array([row.node_id for row in rows], dtype=int)
-        node_combos[:, position] = node_ids[indices] if len(rows) else indices
-        referenced_attrs = {
-            attr
-            for item in query.select
-            for ref_alias, attr in item.payload.columns()
-            if ref_alias == alias
-        }
-        for attr in referenced_attrs:
+        for attr in query.select_attributes(alias):
             column = np.array([row.values[attr] for row in rows], dtype=float)
-            env[(alias, attr)] = column[indices] if len(rows) else np.array([])
+            env[(alias, attr)] = column[combos[:, position]]
 
+    out_columns: Dict[str, np.ndarray] = {}
     if query.is_aggregate:
-        out_columns: Dict[str, np.ndarray] = {}
         for item in query.select:
             aggregate = item.payload
             assert isinstance(aggregate, Aggregate)
@@ -263,18 +281,29 @@ def evaluate_join(
                 if match_count == 0 and aggregate.func != "COUNT":
                     # Aggregate over empty result: SQL would yield NULL; we
                     # return an empty result set instead of inventing a value.
-                    return JoinResult(tuple(aliases), np.zeros((0, len(aliases))), {})
-                per_row = aggregate.operand.values(env) if match_count else np.array([])
+                    return JoinResult(tuple(aliases), node_ids, combos, {})
+                per_row = (
+                    _per_row(aggregate.operand, env, match_count)
+                    if match_count
+                    else np.array([])
+                )
                 out_columns[item.name] = np.array([aggregate.apply(per_row, match_count)])
-        return JoinResult(tuple(aliases), node_combos, out_columns)
+    else:
+        for item in query.select:
+            out_columns[item.name] = _per_row(item.payload, env, match_count).astype(float)
+    return JoinResult(tuple(aliases), node_ids, combos, out_columns)
 
-    out_columns = {}
-    for item in query.select:
-        values = np.broadcast_to(
-            np.asarray(item.payload.values(env), dtype=float), (match_count,)
-        ).astype(float)
-        out_columns[item.name] = values
-    return JoinResult(tuple(aliases), node_combos, out_columns)
+
+def _per_row(
+    expression: Expression, env: Dict[ColumnRef, np.ndarray], match_count: int
+) -> np.ndarray:
+    """``expression`` at every match; a constant broadcasts to all of them."""
+    return np.broadcast_to(np.asarray(expression.values(env), dtype=float), (match_count,))
+
+
+#: Most (partial combination, tuple) pairs one binding block tests at once:
+#: 2**22, so a float64 temporary of a block takes 32 MiB.
+_BLOCK_ELEMENTS = 1 << 22
 
 
 def _expand_exact(
@@ -282,7 +311,78 @@ def _expand_exact(
     aliases: Sequence[str],
     working: Mapping[str, Sequence[Row]],
 ) -> np.ndarray:
-    """Index combinations satisfying every join conjunct, shape (M, n)."""
+    """Index combinations satisfying every join conjunct, shape (M, n).
+
+    Row ``i`` holds one match as row indices into ``working``, in FROM
+    order, and the rows come in nested-loop order: by the first alias's
+    index, then the second's, and so on.
+
+    Binding alias k with n tuples splits the P partial combinations that
+    survive steps 1..k-1 into blocks of at most ``_BLOCK_ELEMENTS // n``
+    rows.  In a block every bound column is a ``(rows, 1)`` gather and
+    every column of alias k a ``(1, n)`` view, so each conjunct that fires
+    at step k yields a ``(rows, n)`` mask by broadcasting.  The row-major
+    flat indices of the ANDed mask are partial-major and tuple-minor, so
+    one ``divmod`` by n reads off the surviving pairs in nested-loop order.
+
+    The result is :func:`_reference_expand_exact`'s array for array:
+    broadcasting only changes how operands are addressed, so every pair
+    gets the same IEEE operations on the same floats, and every conjunct
+    still runs on every pair of its step, so a zero denominator raises
+    :class:`EvaluationError` exactly when the reference's does.  Only the
+    conjunct the message names may differ, when several would raise.
+    """
+    schedule = _conjunct_schedule(query, aliases)
+    columns: Dict[ColumnRef, np.ndarray] = {}
+    combos = np.zeros((1, 0), dtype=int)  # one empty combination
+    for step, alias in enumerate(aliases, start=1):
+        rows = working[alias]
+        count = len(rows)
+        if count == 0:
+            return np.zeros((0, len(aliases)), dtype=int)
+        for attr in query.join_attributes(alias):
+            columns[(alias, attr)] = np.array([row.values[attr] for row in rows], dtype=float)
+        conjuncts = [conjunct for fire_step, conjunct in schedule if fire_step == step]
+        refs = {ref for conjunct in conjuncts for ref in conjunct.columns()}
+        partial = combos.shape[0]
+        if partial == 0:
+            # Like the reference, still evaluate the step over no pairs,
+            # where only a constant zero denominator raises.
+            for conjunct in conjuncts:
+                conjunct.values({ref: np.zeros(0) for ref in refs})
+        block_rows = max(1, _BLOCK_ELEMENTS // count)
+        hits = [np.zeros(0, dtype=np.intp)]
+        for start in range(0, partial, block_rows):
+            block = combos[start : start + block_rows]
+            env: Dict[ColumnRef, np.ndarray] = {}
+            for ref in refs:
+                if ref[0] == alias:
+                    env[ref] = columns[ref][None, :]
+                else:
+                    env[ref] = columns[ref][block[:, aliases.index(ref[0])], None]
+            mask = np.ones((block.shape[0], count), dtype=bool)
+            for conjunct in conjuncts:
+                mask &= conjunct.values(env)
+            hits.append(np.flatnonzero(mask) + start * count)
+        partial_index, tuple_index = np.divmod(np.concatenate(hits), count)
+        bound = np.empty((len(partial_index), step), dtype=int)
+        bound[:, :-1] = combos[partial_index]
+        bound[:, -1] = tuple_index
+        combos = bound
+    return combos
+
+
+def _reference_expand_exact(
+    query: JoinQuery,
+    aliases: Sequence[str],
+    working: Mapping[str, Sequence[Row]],
+) -> np.ndarray:
+    """Pinned pre-optimisation twin of :func:`_expand_exact`.
+
+    Materialises every partial combination x every tuple of the new alias
+    with ``np.repeat``/``np.tile`` and masks afterwards.  Only tests and the
+    perf suite call it.
+    """
     schedule = _conjunct_schedule(query, aliases)
     # Partial environment: (alias, attr) -> value array over partial combos.
     combos = np.zeros((1, 0), dtype=int)  # one empty combination
@@ -300,8 +400,7 @@ def _expand_exact(
         combos = new_combos
         # Extend the environment to the new shape.
         env = {ref: np.repeat(column, count) for ref, column in env.items()}
-        attrs_needed = _attrs_needed(query, alias)
-        for attr in attrs_needed:
+        for attr in query.join_attributes(alias):
             column = np.array([row.values[attr] for row in rows], dtype=float)
             env[(alias, attr)] = np.tile(column, partial)
         # Fire every conjunct scheduled at this step.
@@ -315,16 +414,6 @@ def _expand_exact(
             combos = combos[mask]
             env = {ref: column[mask] for ref, column in env.items()}
     return combos
-
-
-def _attrs_needed(query: JoinQuery, alias: str) -> List[str]:
-    """Attributes of ``alias`` referenced by any join conjunct."""
-    attrs: Set[str] = set()
-    for conjunct in query.join_predicates:
-        for ref_alias, attr in conjunct.columns():
-            if ref_alias == alias:
-                attrs.add(attr)
-    return sorted(attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +483,8 @@ def _semijoin_two_way(
     if not cells_a or not cells_b:
         return {alias_a: set(), alias_b: set()}
     env: Dict[ColumnRef, Tuple[np.ndarray, np.ndarray]] = {}
-    env.update(_bounds_env_for(alias_a, cells_a, _attrs_needed(query, alias_a), True))
-    env.update(_bounds_env_for(alias_b, cells_b, _attrs_needed(query, alias_b), False))
+    env.update(_bounds_env_for(alias_a, cells_a, query.join_attributes(alias_a), True))
+    env.update(_bounds_env_for(alias_b, cells_b, query.join_attributes(alias_b), False))
     possible = np.ones((len(cells_a), len(cells_b)), dtype=bool)
     for conjunct in query.join_predicates:
         conjunct_possible, _ = conjunct.masks(env)
@@ -434,7 +523,7 @@ def _semijoin_n_way(
         env = {
             ref: (np.repeat(lo, count), np.repeat(hi, count)) for ref, (lo, hi) in env.items()
         }
-        for attr in _attrs_needed(query, alias):
+        for attr in query.join_attributes(alias):
             lo = np.array([cell.lo[attr] for cell in cells], dtype=float)
             hi = np.array([cell.hi[attr] for cell in cells], dtype=float)
             env[(alias, attr)] = (np.tile(lo, partial), np.tile(hi, partial))

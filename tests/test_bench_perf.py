@@ -44,7 +44,7 @@ class TestSuite:
     def test_covers_all_three_layers(self):
         suite = build_suite()
         groups = {bench.group for bench in suite}
-        assert {"codec", "kernel", "scale"} <= groups
+        assert {"codec", "kernel", "scale", "query"} <= groups
         keys = [bench.key for bench in suite]
         for required in (
             "codec.quantize_encode",
@@ -55,6 +55,7 @@ class TestSuite:
             "codec.quadtree_size",
             "codec.quadtree_decode",
             "kernel.events_depth64",
+            "query.expand_exact_n1000",
         ):
             assert required in keys
 
@@ -67,6 +68,7 @@ class TestSuite:
             "codec.quadtree_encode",
             "codec.quadtree_size",
             "codec.quadtree_decode",
+            "query.expand_exact_n1000",
         ):
             assert by_key[key].reference is not None, key
 

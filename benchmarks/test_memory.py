@@ -9,7 +9,7 @@ import pytest
 
 from repro.bench.experiments import memory_study
 from repro.bench.workloads import build_scenario, calibrated_query
-from repro.joins.sensjoin import SensJoin
+from repro.obs.telemetry import Telemetry
 from repro.sim.trace import ListTracer
 
 from conftest import register_series
@@ -52,7 +52,7 @@ def test_memory_benchmark(benchmark, series):
 
     def run_traced():
         tracer = ListTracer()
-        scenario.run(query, SensJoin(tracer=tracer))
+        scenario.run(query, "sens-join", telemetry=Telemetry(tracer=tracer))
         return len(tracer)
 
     benchmark(run_traced)

@@ -9,7 +9,7 @@ same story as numbers: the per-phase cost and the final result.
 
 from repro.data.relations import SensorWorld
 from repro.joins.runner import run_snapshot
-from repro.joins.sensjoin import SensJoin
+from repro.obs.telemetry import Telemetry
 from repro.query.parser import parse_query
 from repro.routing.ctp import build_tree
 from repro.sim.network import DeploymentConfig, deploy_grid
@@ -37,7 +37,8 @@ def main() -> None:
 
     tracer = ListTracer()
     outcome = run_snapshot(
-        network, world, query, SensJoin(tracer=tracer), tree=tree
+        network, world, query, "sens-join", tree=tree,
+        telemetry=Telemetry(tracer=tracer),
     )
 
     print("\nprotocol trace (simulated time order):")

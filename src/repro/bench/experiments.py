@@ -713,14 +713,14 @@ def memory_study(
     leaves".  This experiment records every node's stored subtree size via
     the protocol tracer and buckets it by tree depth.
     """
-    from ..joins.sensjoin import SensJoin
+    from ..obs.telemetry import Telemetry
     from ..sim.trace import ListTracer
 
     join_attrs, total_attrs = _ratio_counts(ratio)
     scenario = build_scenario(node_count, seed)
     query = calibrated_query(scenario, join_attrs, total_attrs, fraction)
     tracer = ListTracer()
-    scenario.run(query, SensJoin(tracer=tracer))
+    scenario.run(query, "sens-join", telemetry=Telemetry(tracer=tracer))
 
     stored = tracer.filter(kind="subtree-store")
     overflow = tracer.filter(kind="subtree-overflow")

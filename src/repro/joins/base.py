@@ -280,12 +280,3 @@ class JoinAlgorithm:
     def execute(self, context: ExecutionContext) -> JoinOutcome:
         """Run one snapshot execution and return result + accounting."""
         raise NotImplementedError
-
-    def instrument(self, telemetry) -> None:
-        """Attach a live :class:`~repro.obs.telemetry.Telemetry`.
-
-        The default is a no-op: algorithms without internal instrumentation
-        still profit from the channel-level counters the runner wires up.
-        Overriders (e.g. SENS-Join) additionally emit phase spans and
-        protocol-decision counters.
-        """

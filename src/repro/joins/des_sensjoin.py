@@ -29,8 +29,9 @@ per-phase wall-clock budget), emits a ``phase-timeout`` trace event,
 interrupts the surviving processes, lets CTP repair the tree
 (``tree-repair``), waits out a backoff, and re-executes the query on the
 same kernel timeline — so every aborted attempt's partially spent
-transmissions and energy stay in the statistics store.  After
-``max_retries`` failed repairs the :class:`RecoveryPolicy` either raises
+transmissions and energy stay in the statistics store.  The retries and
+their backoffs come from :meth:`~repro.sim.faults.RetryPolicy.schedule`.
+After ``max_retries`` failed repairs the :class:`RecoveryPolicy` either raises
 :class:`~repro.errors.ExecutionAborted` or returns the partial result
 flagged with ``details["partial"]`` (graceful degradation).
 
@@ -42,22 +43,22 @@ subtrees, and full tuples lost because their Treecut proxy died.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from .. import constants
 from ..codec.quadtree import FlaggedPoint
 from ..codec.setops import intersect_points, union_points
 from ..errors import ExecutionAborted
-from ..obs.telemetry import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import Telemetry, instrumented
 from ..obs.timeseries import MetricsSampler
 from ..query.evaluate import JoinResult, Row, evaluate_join
 from ..routing.ctp import reattach_tree, repair_tree
 from ..routing.tree import RoutingTree
-from ..sim.faults import FaultInjector, FaultPlan
+from ..sim.faults import FaultInjector, FaultPlan, RetryPolicy
 from ..sim.kernel import Environment, Event, Process
 from ..sim.network import Network
 from ..sim.node import BASE_STATION_ID
-from ..sim.trace import PHASE_TIMEOUT, TREE_REPAIR, NullTracer, Tracer
+from ..sim.trace import PHASE_TIMEOUT, TREE_REPAIR
 from .base import (
     ExecutionContext,
     FullTupleRecord,
@@ -74,7 +75,7 @@ __all__ = ["DesSensJoin", "RecoveryPolicy"]
 
 
 @dataclass(frozen=True)
-class RecoveryPolicy:
+class RecoveryPolicy(RetryPolicy):
     """Timeout/retry semantics of the §IV-F recovery loop.
 
     ``phase_timeout_s`` is the base station's per-phase wall-clock budget
@@ -100,24 +101,16 @@ class RecoveryPolicy:
     """
 
     max_retries: int = 3
-    phase_timeout_s: Optional[float] = None
     backoff_s: float = 0.5
-    backoff_factor: float = 2.0
+    phase_timeout_s: Optional[float] = None
     on_exhaustion: str = "partial"
     repair: str = "rebuild"
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"negative retry bound: {self.max_retries}")
+        super().__post_init__()
         if self.phase_timeout_s is not None and self.phase_timeout_s <= 0:
             raise ValueError(
                 f"phase_timeout_s must be positive, got {self.phase_timeout_s}"
-            )
-        if self.backoff_s < 0:
-            raise ValueError(f"negative backoff: {self.backoff_s}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff factor must be >= 1, got {self.backoff_factor}"
             )
         if self.on_exhaustion not in ("partial", "raise"):
             raise ValueError(
@@ -167,7 +160,9 @@ class DesSensJoin(JoinAlgorithm):
     plain protocol and is byte-for-byte equivalent to previous behaviour.
     With a plan it runs the full §IV-F loop described in the module
     docstring; ``recovery`` tunes the timeout/retry semantics and
-    ``repair_seed`` the tie-breaking of repaired trees.
+    ``repair_seed`` the tie-breaking of repaired trees.  Spans and events
+    go to the run's telemetry, read from ``network.channel.telemetry``
+    under the kernel clock.
     """
 
     name = "sens-join[des]"
@@ -176,12 +171,7 @@ class DesSensJoin(JoinAlgorithm):
         self,
         fault_plan: Optional[FaultPlan] = None,
         recovery: Optional[RecoveryPolicy] = None,
-        tracer: Optional[Tracer] = None,
         repair_seed: int = 0,
-        telemetry: Optional[Telemetry] = None,
-        filter_override: Optional[
-            Callable[[TupleFormat, FrozenSet[FlaggedPoint]], FrozenSet[FlaggedPoint]]
-        ] = None,
         sampler: Optional[MetricsSampler] = None,
     ):
         self.fault_plan = fault_plan
@@ -190,31 +180,7 @@ class DesSensJoin(JoinAlgorithm):
         #: process at :meth:`execute` so registered probes snapshot gauges
         #: every ``period_s`` of *simulated* time (docs/observability.md).
         self.sampler = sampler
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        if tracer is not None:
-            self.tracer = tracer
-        elif telemetry is not None:
-            self.tracer = telemetry.tracer
-        else:
-            self.tracer = None
         self.repair_seed = repair_seed
-        #: Same work-sharing hook as :class:`~repro.joins.sensjoin.SensJoin`:
-        #: replaces the base station's ``build_join_filter`` call; must
-        #: return a superset of the single-query filter (conservative
-        #: semantics keep the exact final join correct under supersets).
-        self.filter_override = filter_override
-
-    def _build_filter(
-        self, fmt: TupleFormat, points: FrozenSet[FlaggedPoint]
-    ) -> FrozenSet[FlaggedPoint]:
-        if self.filter_override is not None:
-            return self.filter_override(fmt, points)
-        return build_join_filter(fmt, points)
-
-    def instrument(self, telemetry: Telemetry) -> None:
-        """Attach a live telemetry (spans under the kernel clock)."""
-        self.telemetry = telemetry
-        self.tracer = telemetry.tracer
 
     def execute(self, context: ExecutionContext) -> JoinOutcome:
         """Run the protocol as kernel processes; see the module docstring."""
@@ -227,7 +193,7 @@ class DesSensJoin(JoinAlgorithm):
             # simply stops being scheduled once the run target fires.
             self.sampler.attach(env)
         if self.fault_plan is None or not self.fault_plan:
-            tel = self.telemetry.with_clock(lambda: env.now)
+            tel = network.channel.telemetry.with_clock(lambda: env.now)
             state = self._spawn_attempt(env, network, tree, fmt)
             if tel.enabled:
                 # Drive the run in two stages so the collection/downstream
@@ -263,9 +229,7 @@ class DesSensJoin(JoinAlgorithm):
         self, context: ExecutionContext, env: Environment, fmt: TupleFormat
     ) -> JoinOutcome:
         network, tree = context.network, context.tree
-        channel = network.channel
-        tracer = self.tracer if self.tracer is not None else NullTracer()
-        tel = self.telemetry.with_clock(lambda: env.now)
+        tel = network.channel.telemetry.with_clock(lambda: env.now)
         reg = tel.registry
         policy = self.recovery or RecoveryPolicy()
 
@@ -284,10 +248,7 @@ class DesSensJoin(JoinAlgorithm):
             if proc is not None and proc.is_alive:
                 proc.interrupt("node-crash")
 
-        injector = FaultInjector(
-            env, network, self.fault_plan, tracer=tracer,
-            on_node_crash=kill_process, telemetry=tel,
-        )
+        injector = FaultInjector(env, network, self.fault_plan, on_node_crash=kill_process)
         injector.start()
 
         aborted_attempts = 0
@@ -298,16 +259,13 @@ class DesSensJoin(JoinAlgorithm):
         orphaned = 0
         tx_mark = network.stats.total_tx_packets()
         energy_mark = network.total_energy()
-        backoff = policy.backoff_s
         completed = False
         state: Optional[_AttemptState] = None
 
-        saved_tracer = channel.tracer
-        saved_telemetry = channel.telemetry
-        channel.tracer = tracer
-        channel.telemetry = tel
-        try:
-            for attempt in range(policy.max_retries + 1):
+        # The fault injector and tree repair read the run's telemetry from
+        # the channel; install the kernel-clocked copy for the loop.
+        with instrumented(network, tel):
+            for attempt, backoff in policy.schedule():
                 if reg.enabled:
                     reg.counter("recovery_attempts_total", protocol=self.name).inc()
                 with tel.span(
@@ -317,7 +275,7 @@ class DesSensJoin(JoinAlgorithm):
                     state = self._spawn_attempt(env, network, tree, fmt)
                     live["state"] = state
                     completed = self._monitor_attempt(
-                        env, network, tree, state, policy, tracer, attempt, tel
+                        env, network, tree, state, policy, attempt, tel
                     )
                     attempt_span.labels["completed"] = completed
                 if completed:
@@ -329,7 +287,7 @@ class DesSensJoin(JoinAlgorithm):
                 aborted_tx += now_tx - tx_mark
                 aborted_energy += now_energy - energy_mark
                 tx_mark, energy_mark = now_tx, now_energy
-                if attempt == policy.max_retries:
+                if backoff is None:
                     break
                 with tel.span(
                     "tree-repair-and-backoff", node_id=BASE_STATION_ID,
@@ -341,8 +299,7 @@ class DesSensJoin(JoinAlgorithm):
                         # nearest live parent; the beacon exchange is charged
                         # to the store under the tree-maintenance phase.
                         heal = reattach_tree(
-                            network, tree, seed=self.repair_seed,
-                            tracer=tracer, time_s=env.now,
+                            network, tree, seed=self.repair_seed, time_s=env.now
                         )
                         tree = heal.tree
                         repairs += 1
@@ -353,7 +310,7 @@ class DesSensJoin(JoinAlgorithm):
                         tree = report.tree
                         repairs += 1
                         orphaned = len(report.orphaned)
-                        tracer.emit(
+                        tel.tracer.emit(
                             env.now, BASE_STATION_ID, TREE_REPAIR,
                             attempt=attempt,
                             reparented=len(report.reparented),
@@ -361,10 +318,6 @@ class DesSensJoin(JoinAlgorithm):
                         )
                     if backoff > 0:
                         env.run(until=env.now + backoff)
-                backoff *= policy.backoff_factor
-        finally:
-            channel.tracer = saved_tracer
-            channel.telemetry = saved_telemetry
 
         if not completed and policy.on_exhaustion == "raise":
             raise ExecutionAborted(
@@ -427,17 +380,15 @@ class DesSensJoin(JoinAlgorithm):
         tree: RoutingTree,
         state: _AttemptState,
         policy: RecoveryPolicy,
-        tracer: Tracer,
         attempt: int,
-        tel: Optional[Telemetry] = None,
+        tel: Telemetry,
     ) -> bool:
         """Drive one attempt with the base station's per-phase watchdog.
 
         Returns True when the final result arrived; False on a stall, with
         a ``phase-timeout`` trace event naming the starved phase.
         """
-        tel = tel if tel is not None else NULL_TELEMETRY
-        reg = tel.registry
+        tracer, reg = tel.tracer, tel.registry
         budget = (
             policy.phase_timeout_s
             if policy.phase_timeout_s is not None
@@ -676,7 +627,7 @@ class DesSensJoin(JoinAlgorithm):
                 points = union_points(
                     points, [(proxied.flags, fmt.quantizer.encode(join_values))]
                 )
-            join_filter = self._build_filter(fmt, points)
+            join_filter = build_join_filter(fmt, points)
             details["filter_points"] = float(len(join_filter))
             awake = [child for child in children if not exited[child]]
             subtree = mailbox.points

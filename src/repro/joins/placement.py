@@ -27,30 +27,15 @@ paper's conclusion across filtered/unfiltered workloads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 from ..errors import NetworkError
+from ..routing.ctp import hop_distances
 from ..sim.network import Network
 from ..sim.node import BASE_STATION_ID
 
 __all__ = ["PlacementCost", "PlacementReport", "analyze_join_location", "hop_distances"]
-
-
-def hop_distances(network: Network, source: int) -> Dict[int, int]:
-    """BFS hop counts from ``source`` over the alive connectivity graph."""
-    if source not in network.nodes:
-        raise NetworkError(f"unknown node: {source}")
-    hops = {source: 0}
-    queue = deque([source])
-    while queue:
-        current = queue.popleft()
-        for neighbour in network.neighbours(current):
-            if neighbour not in hops:
-                hops[neighbour] = hops[current] + 1
-                queue.append(neighbour)
-    return hops
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,12 @@ query re-executes from a fresh snapshot.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
 from ..data.relations import SensorWorld
 from ..errors import ExecutionAborted
-from ..obs.telemetry import Telemetry
+from ..obs.telemetry import Telemetry, instrumented
 from ..query.query import JoinQuery, SamplePeriod
 from ..routing.ctp import build_tree, repair_tree
 from ..routing.dissemination import flood_query
@@ -113,30 +112,6 @@ def make_algorithm(
         raise ValueError(f"unknown algorithm {name!r}; known: {known}") from None
 
 
-@contextmanager
-def instrumented(network: Network, telemetry: Optional[Telemetry]):
-    """Attach ``telemetry`` to the network's channel for the duration.
-
-    The channel's metrics sink and tracer are swapped in on entry and the
-    previous ones restored on exit, so one network can serve both traced and
-    untraced executions.  ``None`` leaves the channel exactly as it is (a
-    tracer someone attached directly stays in charge).
-    """
-    if telemetry is None:
-        yield network
-        return
-    channel = network.channel
-    saved_telemetry = channel.telemetry
-    saved_tracer = channel.tracer
-    channel.telemetry = telemetry
-    channel.tracer = telemetry.tracer
-    try:
-        yield network
-    finally:
-        channel.telemetry = saved_telemetry
-        channel.tracer = saved_tracer
-
-
 def run_snapshot(
     network: Network,
     world: SensorWorld,
@@ -157,15 +132,13 @@ def run_snapshot(
     (:func:`run_with_failures`) accumulate the cost of aborted attempts
     into the final outcome's store.
 
-    ``telemetry`` (optional) observes the execution: the channel charges
-    per-node/per-phase counters into its registry, and the algorithm — if it
-    supports :meth:`~repro.joins.base.JoinAlgorithm.instrument` — emits
-    phase spans and protocol-decision events into its tracer.  Passing
-    ``None`` (the default) leaves every accounting code path untouched.
+    ``telemetry`` (optional) observes the execution: :func:`instrumented`
+    installs it on the network's channel, which charges per-node/per-phase
+    counters into its registry, and the algorithm reads it from there to
+    emit phase spans and protocol-decision events.  Passing ``None`` (the
+    default) leaves every accounting code path untouched.
     """
     algo = make_algorithm(algorithm)
-    if telemetry is not None:
-        algo.instrument(telemetry)
     if tree is None:
         tree = build_tree(network, seed=tree_seed)
     if reset_accounting:

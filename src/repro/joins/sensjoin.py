@@ -37,14 +37,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import constants
 from ..codec.compression import compressed_size, encode_raw_tuples
 from ..codec.quadtree import FlaggedPoint
 from ..codec.setops import intersect_points, union_points
 from ..errors import ProtocolError
-from ..obs.telemetry import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import Telemetry
 from ..query.evaluate import JoinResult, Row, evaluate_join
 from ..query.query import JoinQuery
 from ..routing.dissemination import PIGGYBACK_HEADER_BYTES
@@ -54,13 +54,11 @@ from ..sim.trace import (
     FILTER_PIGGYBACK,
     FILTER_PRUNED,
     FINAL_SEND,
-    NullTracer,
     PROXY_STORE,
     SEND_JOIN_ATTS,
     SUBTREE_OVERFLOW,
     SUBTREE_STORE,
     TREECUT_EXIT,
-    Tracer,
 )
 from .base import (
     ExecutionContext,
@@ -168,48 +166,29 @@ def evaluate_arrived(
 
 
 class SensJoin(JoinAlgorithm):
-    """The SENS-Join protocol (see module docstring)."""
+    """The SENS-Join protocol (see module docstring).
+
+    The engine holds no observation state: every phase reads the run's
+    telemetry from ``context.network.channel.telemetry``.
+    """
 
     name = "sens-join"
 
-    def __init__(
-        self,
-        config: SensJoinConfig = SensJoinConfig(),
-        tracer: Optional[Tracer] = None,
-        telemetry: Optional[Telemetry] = None,
-        filter_override: Optional[
-            Callable[[TupleFormat, FrozenSet[FlaggedPoint]], FrozenSet[FlaggedPoint]]
-        ] = None,
-    ):
+    def __init__(self, config: SensJoinConfig = SensJoinConfig()):
         self.config = config
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        if tracer is not None:
-            self.tracer = tracer
-        else:
-            self.tracer = self.telemetry.tracer
-        #: Filter-reuse hook (multi-query work sharing): called with
-        #: ``(fmt, collected_points)`` in place of ``build_join_filter``.
-        #: The returned set must be a *superset* of the single-query filter
-        #: — conservative semantics keep the final join exact under any
-        #: superset, which is what lets a broker disseminate one composed
-        #: filter on behalf of several queries.
-        self.filter_override = filter_override
         if config.representation != "quadtree":
             self.name = f"sens-join[{config.representation}]"
 
-    def instrument(self, telemetry: Telemetry) -> None:
-        """Attach a live telemetry (spans, counters, and its tracer)."""
-        self.telemetry = telemetry
-        self.tracer = telemetry.tracer
-
     # -- payload sizing under the configured representation ---------------------
 
-    def _joinatts_bytes(self, fmt: TupleFormat, payload: _JoinAttrPayload) -> int:
-        if not self.telemetry.enabled:
+    def _joinatts_bytes(
+        self, fmt: TupleFormat, payload: _JoinAttrPayload, tel: Telemetry
+    ) -> int:
+        if not tel.enabled:
             return self._joinatts_bytes_raw(fmt, payload)
         t0 = time.perf_counter()
         size = self._joinatts_bytes_raw(fmt, payload)
-        self._observe_codec("join-atts", size, time.perf_counter() - t0)
+        self._observe_codec(tel, "join-atts", size, time.perf_counter() - t0)
         return size
 
     def _joinatts_bytes_raw(self, fmt: TupleFormat, payload: _JoinAttrPayload) -> int:
@@ -224,12 +203,14 @@ class SensJoin(JoinAlgorithm):
         )
         return compressed_size(raw, representation)
 
-    def _filter_bytes(self, fmt: TupleFormat, points: FrozenSet[FlaggedPoint]) -> int:
-        if not self.telemetry.enabled:
+    def _filter_bytes(
+        self, fmt: TupleFormat, points: FrozenSet[FlaggedPoint], tel: Telemetry
+    ) -> int:
+        if not tel.enabled:
             return self._filter_bytes_raw(fmt, points)
         t0 = time.perf_counter()
         size = self._filter_bytes_raw(fmt, points)
-        self._observe_codec("filter", size, time.perf_counter() - t0)
+        self._observe_codec(tel, "filter", size, time.perf_counter() - t0)
         return size
 
     def _filter_bytes_raw(self, fmt: TupleFormat, points: FrozenSet[FlaggedPoint]) -> int:
@@ -239,9 +220,9 @@ class SensJoin(JoinAlgorithm):
         # representative) tuples; compression never pays off at filter sizes.
         return len(points) * fmt.raw_join_tuple_bytes
 
-    def _observe_codec(self, kind: str, size: int, wall_s: float) -> None:
+    def _observe_codec(self, tel: Telemetry, kind: str, size: int, wall_s: float) -> None:
         """Feed one encode into the codec histograms (telemetry enabled only)."""
-        reg = self.telemetry.registry
+        reg = tel.registry
         rep = self.config.representation
         reg.histogram("codec_encode_wall_seconds", kind=kind, representation=rep).observe(wall_s)
         reg.histogram("codec_payload_bytes", kind=kind, representation=rep).observe(size)
@@ -254,9 +235,11 @@ class SensJoin(JoinAlgorithm):
         details = run.details
         points = self.collect(run)
         details["collection_finish_s"] = run.finish_s
-        run.join_filter = self.build_filter(run.fmt, points)
+        run.join_filter = build_join_filter(run.fmt, points)
         details["filter_points"] = float(len(run.join_filter))
-        details["filter_bytes"] = float(self._filter_bytes(run.fmt, run.join_filter))
+        details["filter_bytes"] = float(
+            self._filter_bytes(run.fmt, run.join_filter, context.network.channel.telemetry)
+        )
         self.disseminate([run], run.finish_s)
         result = self.final(run)
 
@@ -284,20 +267,12 @@ class SensJoin(JoinAlgorithm):
 
         Sets ``run.finish_s`` to the collection's critical-path finish.
         """
-        with self.telemetry.span(
+        with run.context.network.channel.telemetry.span(
             PHASE_COLLECTION, node_id=BASE_STATION_ID, start=0.0, protocol=self.name
         ) as sp:
             points, run.finish_s = self._collection_phase(run)
             sp.end = run.finish_s
         return points
-
-    def build_filter(
-        self, fmt: TupleFormat, points: FrozenSet[FlaggedPoint]
-    ) -> FrozenSet[FlaggedPoint]:
-        """The filter to disseminate: single-query build, or the override."""
-        if self.filter_override is not None:
-            return self.filter_override(fmt, points)
-        return build_join_filter(fmt, points)
 
     def disseminate(self, runs: Sequence[SensJoinRun], start_s: float) -> int:
         """Step 1b: one pre-order wave carrying every run's ``join_filter``.
@@ -307,7 +282,7 @@ class SensJoin(JoinAlgorithm):
         Sets every run's ``finish_s`` to the time the wave dies out and
         returns how many broadcasts carried more than one filter.
         """
-        with self.telemetry.span(
+        with runs[0].context.network.channel.telemetry.span(
             PHASE_FILTER, node_id=BASE_STATION_ID, start=start_s, protocol=self.name
         ) as sp:
             finish, piggybacked = self._filter_phase(runs, start_s)
@@ -323,7 +298,7 @@ class SensJoin(JoinAlgorithm):
         tuple reached the base station.
         """
         start = run.finish_s
-        with self.telemetry.span(
+        with run.context.network.channel.telemetry.span(
             PHASE_FINAL, node_id=BASE_STATION_ID, start=start, protocol=self.name
         ) as sp:
             result, run.finish_s = self._final_phase(run)
@@ -342,7 +317,8 @@ class SensJoin(JoinAlgorithm):
         channel = network.channel
         keep_raw = self.config.representation in ("zlib", "bzip2")
         treecut_enabled = self.config.dmax_bytes > 0
-        reg = self.telemetry.registry
+        tel = channel.telemetry
+        tracer, reg = tel.tracer, tel.registry
 
         # In-flight child payloads, keyed by sender.
         full_up: Dict[int, List[FullTupleRecord]] = {}
@@ -412,7 +388,7 @@ class SensJoin(JoinAlgorithm):
                 state.finish_1a = children_finish + channel.last_send_latency_s
                 if reg.enabled:
                     reg.counter("treecut_exits_total", protocol=self.name).inc()
-                self.tracer.emit(
+                tracer.emit(
                     state.finish_1a, node_id, TREECUT_EXIT,
                     tuples=len(records), bytes=payload_bytes,
                 )
@@ -427,7 +403,7 @@ class SensJoin(JoinAlgorithm):
                     reg.counter(
                         "proxied_tuples_total", protocol=self.name
                     ).inc(len(received_full))
-                self.tracer.emit(
+                tracer.emit(
                     children_finish, node_id, PROXY_STORE, tuples=len(received_full)
                 )
             # Selective Filter Forwarding memory (Fig. 2 line 21): keep the
@@ -436,7 +412,7 @@ class SensJoin(JoinAlgorithm):
                 stored_size = fmt.encoded_points_bytes(received_atts)
                 if stored_size <= self.config.subtree_limit_bytes:
                     state.subtree_atts = received_atts
-                    self.tracer.emit(
+                    tracer.emit(
                         children_finish, node_id, SUBTREE_STORE, bytes=stored_size
                     )
                 else:
@@ -445,7 +421,7 @@ class SensJoin(JoinAlgorithm):
                     state.subtree_atts = None
                     if reg.enabled:
                         reg.counter("subtree_overflows_total", protocol=self.name).inc()
-                    self.tracer.emit(
+                    tracer.emit(
                         children_finish, node_id, SUBTREE_OVERFLOW, bytes=stored_size
                     )
             elif self.config.subtree_limit_bytes > 0:
@@ -472,12 +448,12 @@ class SensJoin(JoinAlgorithm):
                         tuple(state.record.values[name] for name in fmt.join_attributes)
                     )
             payload = _JoinAttrPayload(points, tuple_count, raw_rows)
-            payload_bytes = self._joinatts_bytes(fmt, payload)
+            payload_bytes = self._joinatts_bytes(fmt, payload, tel)
             channel.unicast(node_id, tree.parent(node_id), payload_bytes, PHASE_COLLECTION)
             atts_up[node_id] = payload
             bytes_up[node_id] = payload_bytes
             state.finish_1a = children_finish + channel.last_send_latency_s
-            self.tracer.emit(
+            tracer.emit(
                 state.finish_1a, node_id, SEND_JOIN_ATTS,
                 points=len(points), bytes=payload_bytes,
             )
@@ -514,7 +490,8 @@ class SensJoin(JoinAlgorithm):
         tree = context.tree
         channel = context.network.channel
         pruning_enabled = self.config.subtree_limit_bytes > 0
-        reg = self.telemetry.registry
+        tel = channel.telemetry
+        tracer, reg = tel.tracer, tel.registry
 
         for run in runs:
             run.states[BASE_STATION_ID].filter_received = run.join_filter
@@ -558,7 +535,7 @@ class SensJoin(JoinAlgorithm):
                     pruned_subtrees[index] += 1
                     if reg.enabled:
                         reg.counter("filter_pruned_subtrees_total", protocol=self.name).inc()
-                    self.tracer.emit(state.filter_arrival, node_id, FILTER_PRUNED)
+                    tracer.emit(state.filter_arrival, node_id, FILTER_PRUNED)
                     continue
                 riding.append((index, subtree_filter, awake_children, state.filter_arrival))
             if not riding:
@@ -566,9 +543,9 @@ class SensJoin(JoinAlgorithm):
             departure = max(arrival for _, _, _, arrival in riding)
             if len(riding) == 1:
                 index, subtree_filter, receivers, _ = riding[0]
-                payload_bytes = self._filter_bytes(runs[index].fmt, subtree_filter)
+                payload_bytes = self._filter_bytes(runs[index].fmt, subtree_filter, tel)
                 channel.broadcast(node_id, receivers, payload_bytes, PHASE_FILTER)
-                self.tracer.emit(
+                tracer.emit(
                     departure, node_id, FILTER_BROADCAST,
                     points=len(subtree_filter), bytes=payload_bytes,
                     children=len(receivers),
@@ -576,11 +553,11 @@ class SensJoin(JoinAlgorithm):
             else:
                 receivers = sorted({c for _, _, awake, _ in riding for c in awake})
                 payload_bytes = sum(
-                    self._filter_bytes(runs[index].fmt, subtree_filter)
+                    self._filter_bytes(runs[index].fmt, subtree_filter, tel)
                     for index, subtree_filter, _, _ in riding
                 ) + PIGGYBACK_HEADER_BYTES * len(riding)
                 piggybacked += 1
-                self.tracer.emit(
+                tracer.emit(
                     departure, node_id, FILTER_PIGGYBACK,
                     filters=len(riding), bytes=payload_bytes,
                 )
@@ -605,6 +582,7 @@ class SensJoin(JoinAlgorithm):
         context, fmt, states, details = run.context, run.fmt, run.states, run.details
         network, tree = context.network, context.tree
         channel = network.channel
+        tracer = channel.telemetry.tracer
 
         carried: Dict[int, List[FullTupleRecord]] = {}
         carried_bytes: Dict[int, int] = {}
@@ -639,7 +617,7 @@ class SensJoin(JoinAlgorithm):
             matched = self._matching_records(fmt, state, flags_memo)
             if matched:
                 senders += 1
-                self.tracer.emit(
+                tracer.emit(
                     children_finish, node_id, FINAL_SEND, tuples=len(matched)
                 )
             records.extend(matched)

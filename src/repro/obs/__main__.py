@@ -126,7 +126,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         sampler = MetricsSampler(telemetry=telemetry, period_s=args.sample_period)
         sampler.watch_network(scenario.network)
         sampler.watch_tree(lambda: scenario.tree)
-        algorithm = DesSensJoin(telemetry=telemetry, sampler=sampler)
+        algorithm = DesSensJoin(sampler=sampler)
     outcome = run_snapshot(
         scenario.network,
         scenario.world,

@@ -33,7 +33,7 @@ span abandoned by a phase timeout still closes, flagged ``ok=False``.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from ..sim.trace import (
     ListTracer,
@@ -45,7 +45,10 @@ from ..sim.trace import (
 )
 from .metrics import MetricsRegistry, NULL_REGISTRY
 
-__all__ = ["Telemetry", "Span", "NULL_TELEMETRY"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.network import Network
+
+__all__ = ["Telemetry", "Span", "NULL_TELEMETRY", "instrumented"]
 
 
 class Span:
@@ -151,3 +154,26 @@ class Telemetry:
 
 #: The disabled default: no tracer, no registry, zero-duration clock.
 NULL_TELEMETRY = Telemetry(tracer=NullTracer(), registry=NULL_REGISTRY)
+
+
+@contextmanager
+def instrumented(network: "Network", telemetry: Optional[Telemetry]):
+    """Install ``telemetry`` as the network's run telemetry for the duration.
+
+    ``network.channel.telemetry`` is the one place a run's telemetry lives:
+    the channel, the engines, the fault injector and tree repair all read
+    their tracer, registry and clock from it.  The previous telemetry is
+    restored on exit, so one network can serve both traced and untraced
+    executions.  ``None`` leaves the channel exactly as it is (a telemetry
+    someone attached directly stays in charge).
+    """
+    if telemetry is None:
+        yield network
+        return
+    channel = network.channel
+    saved = channel.telemetry
+    channel.telemetry = telemetry
+    try:
+        yield network
+    finally:
+        channel.telemetry = saved

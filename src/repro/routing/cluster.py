@@ -42,7 +42,6 @@ through: ``"flat"`` = plain CTP, ``"cluster"`` = this module.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -50,7 +49,7 @@ from ..errors import RoutingError
 from ..sim.network import Network
 from ..sim.node import BASE_STATION_ID
 from ..sim.spatial import grid_cell
-from .ctp import TieBreak, build_tree
+from .ctp import TieBreak, build_tree, hop_distances
 from .tree import RoutingTree
 
 __all__ = [
@@ -91,19 +90,6 @@ class ClusterLayout:
         if not self.heads:
             return 0.0
         return len(self.members) / len(self.heads)
-
-
-def _bfs_hops(network: Network) -> Dict[int, int]:
-    """Hop count from the base station over the alive connectivity graph."""
-    hops = {BASE_STATION_ID: 0}
-    queue = deque([BASE_STATION_ID])
-    while queue:
-        current = queue.popleft()
-        for neighbour in network.neighbours(current):
-            if neighbour not in hops:
-                hops[neighbour] = hops[current] + 1
-                queue.append(neighbour)
-    return hops
 
 
 def elect_heads(
@@ -150,7 +136,7 @@ def build_cluster_tree(
     backbone = build_tree(network, tie_break=tie_break, seed=seed)
     head_of_cell = elect_heads(network, pitch)
     heads = frozenset(head_of_cell.values())
-    hops = _bfs_hops(network)
+    hops = hop_distances(network)
     parents = dict(backbone.as_parent_map())
     members: Dict[int, int] = {}
     for node_id in sorted(parents):

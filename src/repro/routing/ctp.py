@@ -6,9 +6,10 @@ hop count to the base station (for details cf. TinyOS, collection-tree
 protocol)."
 
 The converged result of that protocol is a shortest-path (min-hop) tree
-rooted at the base station.  :func:`build_tree` computes it directly with a
-BFS; :class:`BeaconProtocol <repro.routing.beacons.BeaconProtocol>` produces
-the same structure through actual message exchange.
+rooted at the base station.  :func:`build_tree` computes it directly from
+the BFS hop counts of :func:`hop_distances`;
+:class:`BeaconProtocol <repro.routing.beacons.BeaconProtocol>` produces the
+same structure through actual message exchange.
 
 Among equally good parents (same hop count) CTP picks by link quality.  On a
 lossless network every link is perfect, so a tie-breaking policy stands in:
@@ -26,7 +27,8 @@ lossless network every link is perfect, so a tie-breaking policy stands in:
 Repair (§IV-F) is re-convergence: after a node or link failure,
 :func:`repair_tree` recomputes parents over the surviving graph.  Nodes cut
 off from the base station are reported so the caller (the query runner) can
-re-execute the query without them.
+re-execute the query without them.  A fresh build is the repair of no old
+tree, so both run one min-hop parent loop.
 
 Under *continuous churn* a full re-convergence per topology change is too
 expensive: most of the tree is still fine.  :func:`reattach_tree` is the
@@ -34,7 +36,8 @@ incremental alternative — only the roots of detached subtrees probe their
 radio neighbourhood with beacons and graft onto the nearest attached node,
 keeping every surviving parent link untouched.  The beacon exchange is
 recorded in the statistics store (phase ``"tree-maintenance"``) so repair cost
-shows up in the same accounting as query traffic.
+shows up in the same accounting as query traffic, and each graft is traced
+into the run's telemetry, read from ``network.channel.telemetry``.
 """
 
 from __future__ import annotations
@@ -44,14 +47,15 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Dict, List, Literal, Optional, Set
 
-from ..errors import RoutingError
+from ..errors import NetworkError, RoutingError
 from ..sim.network import Network
 from ..sim.node import BASE_STATION_ID
-from ..sim.trace import TREE_REATTACH, NullTracer, Tracer
+from ..sim.trace import TREE_REATTACH
 from .beacons import BEACON_BYTES
 from .tree import RoutingTree
 
 __all__ = [
+    "hop_distances",
     "build_tree",
     "repair_tree",
     "reattach_tree",
@@ -72,10 +76,12 @@ def _default_tie_break(network: Network) -> TieBreak:
     return "etx" if network.link_quality is not None else "random"
 
 
-def _hop_counts(network: Network) -> Dict[int, int]:
-    """BFS hop count from the base station over the alive connectivity graph."""
-    hops = {BASE_STATION_ID: 0}
-    queue = deque([BASE_STATION_ID])
+def hop_distances(network: Network, source: int = BASE_STATION_ID) -> Dict[int, int]:
+    """BFS hop counts from ``source`` over the alive connectivity graph."""
+    if source not in network.nodes:
+        raise NetworkError(f"unknown node: {source}")
+    hops = {source: 0}
+    queue = deque([source])
     while queue:
         current = queue.popleft()
         for neighbour in network.neighbours(current):
@@ -138,37 +144,14 @@ def build_tree(
         if some alive node cannot reach the base station; when False those
         nodes are silently excluded (used during repair).
     """
-    if tie_break is None:
-        tie_break = _default_tie_break(network)
-    hops = _hop_counts(network)
-    alive_ids = {
-        node_id for node_id, node in network.nodes.items() if node.alive
-    }
-    unreachable = alive_ids - set(hops)
-    if unreachable and require_full_coverage:
-        sample = sorted(unreachable)[:5]
+    report = repair_tree(network, None, tie_break, seed)
+    if report.orphaned and require_full_coverage:
+        sample = sorted(report.orphaned)[:5]
         raise RoutingError(
-            f"{len(unreachable)} alive node(s) cannot reach the base "
+            f"{len(report.orphaned)} alive node(s) cannot reach the base "
             f"station, e.g. {sample}; the network is partitioned"
         )
-    rng = random.Random(seed)
-    parents: Dict[int, int] = {}
-    for node_id in sorted(hops):
-        if node_id == BASE_STATION_ID:
-            continue
-        my_hops = hops[node_id]
-        candidates = [
-            neighbour
-            for neighbour in network.neighbours(node_id)
-            if hops.get(neighbour, float("inf")) == my_hops - 1
-        ]
-        if not candidates:
-            raise RoutingError(
-                f"node {node_id} at hop {my_hops} has no neighbour at hop "
-                f"{my_hops - 1}; inconsistent connectivity graph"
-            )
-        parents[node_id] = _pick_parent(network, node_id, candidates, tie_break, rng)
-    return RoutingTree(parents)
+    return report.tree
 
 
 @dataclass(frozen=True)
@@ -194,11 +177,12 @@ def repair_tree(
     broken paths; the converged result is again a min-hop tree over the
     surviving component.  We compute that converged tree, preferring each
     node's old parent whenever it is still an optimal choice (which is what
-    "do not repair what is not broken" converges to).
+    "do not repair what is not broken" converges to).  Without an old tree
+    this is the fresh build of :func:`build_tree`.
     """
     if tie_break is None:
         tie_break = _default_tie_break(network)
-    hops = _hop_counts(network)
+    hops = hop_distances(network)
     alive_ids = {node_id for node_id, node in network.nodes.items() if node.alive}
     orphaned = frozenset(alive_ids - set(hops) - {BASE_STATION_ID})
     rng = random.Random(seed)
@@ -214,6 +198,11 @@ def repair_tree(
             for neighbour in network.neighbours(node_id)
             if hops.get(neighbour, float("inf")) == my_hops - 1
         ]
+        if not candidates:
+            raise RoutingError(
+                f"node {node_id} at hop {my_hops} has no neighbour at hop "
+                f"{my_hops - 1}; inconsistent connectivity graph"
+            )
         old_parent = old_parents.get(node_id)
         if old_parent is not None and old_parent in candidates:
             parents[node_id] = old_parent
@@ -250,7 +239,6 @@ def reattach_tree(
     network: Network,
     old_tree: RoutingTree,
     seed: int = 0,
-    tracer: Optional[Tracer] = None,
     time_s: float = 0.0,
 ) -> ReattachReport:
     """Incrementally heal ``old_tree`` after churn (localized beacon exchange).
@@ -272,12 +260,12 @@ def reattach_tree(
 
     All beacon traffic is charged through the network's channel under the
     :data:`REATTACH_PHASE` accounting label, and one
-    :data:`~repro.sim.trace.TREE_REATTACH` trace event is emitted per graft.
+    :data:`~repro.sim.trace.TREE_REATTACH` trace event stamped ``time_s``
+    goes to the channel's telemetry per graft.
     The healed tree keeps surviving parents verbatim, so it may be a few
     hops taller than a fresh :func:`build_tree` — that is the price of
     locality, and exactly what the bench's churn study measures.
     """
-    tracer = tracer if tracer is not None else NullTracer()
     alive = {node_id for node_id, node in network.nodes.items() if node.alive}
     old_parents = old_tree.as_parent_map()
     # Parent links that survived the churn: both endpoints alive, link up.
@@ -307,6 +295,7 @@ def reattach_tree(
     beacons = 0
     passes = 0
     channel = network.channel
+    tracer = channel.telemetry.tracer
     while pending:
         passes += 1
         progress = False

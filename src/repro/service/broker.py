@@ -65,9 +65,8 @@ from .. import constants
 from ..errors import BrokerError
 from ..joins.base import ExecutionContext, TupleFormat, oracle_result
 from ..joins.filterbuild import build_join_filter, compose_filters
-from ..joins.runner import instrumented
 from ..joins.sensjoin import SensJoin, SensJoinRun, evaluate_arrived
-from ..obs.telemetry import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry, instrumented
 from ..obs.timeseries import MetricsSampler, WindowedAggregate
 from ..query.evaluate import JoinResult
 from ..query.query import JoinQuery
@@ -79,11 +78,10 @@ from ..sim.faults import (
     ChurnModel,
     Fault,
     FaultPlan,
-    LINK_DROP,
     LOSS_BURST,
-    NODE_CRASH,
-    NODE_MOVE,
-    NODE_REJOIN,
+    RetryPolicy,
+    apply_fault,
+    record_fault,
 )
 from ..sim.network import Network
 from ..sim.node import BASE_STATION_ID
@@ -95,7 +93,6 @@ from ..sim.trace import (
     BROKER_GROUP_SPLIT,
     BROKER_RETRY,
     BROKER_SHED,
-    FAULT_INJECT,
     FILTER_COMPOSED,
 )
 from .workloads import QueryRequest
@@ -142,7 +139,7 @@ def sharing_signature(query: JoinQuery) -> Tuple:
 
 
 @dataclass(frozen=True)
-class DeadlinePolicy:
+class DeadlinePolicy(RetryPolicy):
     """Per-query deadline and retry semantics for churn-resilient batches.
 
     ``timeout_s`` is the per-epoch wall-clock budget: a shared attempt whose
@@ -156,23 +153,15 @@ class DeadlinePolicy:
     see the module docstring).
     """
 
-    timeout_s: Optional[float] = None
     max_retries: int = 2
     backoff_s: float = 0.05
-    backoff_factor: float = 2.0
+    timeout_s: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.max_retries < 0:
-            raise ValueError(f"negative retry bound: {self.max_retries}")
-        if self.backoff_s < 0:
-            raise ValueError(f"negative backoff: {self.backoff_s}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff factor must be >= 1, got {self.backoff_factor}"
-            )
 
 
 @dataclass(frozen=True)
@@ -325,8 +314,9 @@ class QueryBroker:
         )
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.tracer = self.telemetry.tracer
-        #: Every epoch runs this engine's phases; it holds no per-query state.
-        self.engine = SensJoin(telemetry=self.telemetry)
+        #: Every epoch runs this engine's phases; it holds no per-query or
+        #: observation state (it reads the telemetry :meth:`run` installs).
+        self.engine = SensJoin()
         self.tree_seed = tree_seed
         #: Optional time-series sampler (docs/observability.md).  The broker
         #: feeds rolling service-level aggregates (latency percentiles,
@@ -611,8 +601,7 @@ class QueryBroker:
         attempts = 0
         if self.config.share_work and len(batch) > 1:
             groups = _share_groups(batch)
-            backoff = policy.backoff_s
-            for attempt in range(policy.max_retries + 1):
+            for attempt, backoff in policy.schedule():
                 self._advance_churn(clock)
                 attempts += 1
                 outcomes, piggybacked = self._run_epoch(groups, clock, clock, batch_index)
@@ -633,7 +622,7 @@ class QueryBroker:
                         "piggybacked_broadcasts": float(piggybacked),
                     }
                 self._absorb_aborted_epoch()
-                if attempt == policy.max_retries:
+                if backoff is None:
                     clock = epoch_end
                     break
                 delay = backoff * (1.0 + self._backoff_rng.random() * 0.5)
@@ -649,7 +638,6 @@ class QueryBroker:
                 if reg.enabled:
                     reg.counter("broker_retries_total").inc()
                 clock = epoch_end + delay
-                backoff *= policy.backoff_factor
             self.tracer.emit(
                 clock, BASE_STATION_ID, BROKER_GROUP_SPLIT,
                 batch=batch_index, size=len(batch),
@@ -820,37 +808,13 @@ class QueryBroker:
             self._churn_index < len(self._churn_faults)
             and self._churn_faults[self._churn_index].time_s <= now
         ):
-            self._apply_churn_fault(self._churn_faults[self._churn_index])
+            fault = self._churn_faults[self._churn_index]
+            apply_fault(self.network, fault)
+            record_fault(self.telemetry, fault.time_s, fault)
             self._churn_index += 1
             applied = True
         if applied:
             self._heal_tree(now)
-
-    def _apply_churn_fault(self, fault: Fault) -> None:
-        """One fault onto the live topology; mirrors ``FaultInjector._apply``."""
-        if fault.kind == NODE_CRASH:
-            node = self.network.nodes.get(fault.node_a)
-            if node is not None and node.alive:
-                self.network.fail_node(fault.node_a)
-        elif fault.kind == LINK_DROP:
-            self.network.fail_link(fault.node_a, fault.node_b)
-        elif fault.kind == NODE_REJOIN:
-            self.network.revive_node(fault.node_a, fault.x, fault.y)
-        else:  # NODE_MOVE; LOSS_BURST was rejected at construction
-            self.network.move_node(fault.node_a, fault.x, fault.y)
-        reg = self.telemetry.registry
-        if reg.enabled:
-            reg.counter("faults_injected_total", kind=fault.kind).inc()
-        detail = {
-            "fault": fault.kind,
-            "node_b": fault.node_b,
-            "duration_s": fault.duration_s,
-            "loss_rate": fault.loss_rate,
-        }
-        if fault.kind in (NODE_REJOIN, NODE_MOVE):
-            detail["x"] = fault.x
-            detail["y"] = fault.y
-        self.tracer.emit(fault.time_s, fault.node_a, FAULT_INJECT, **detail)
 
     def _heal_tree(self, now: float) -> None:
         """Localized re-attach over the churned topology, cost in the store.
@@ -862,10 +826,7 @@ class QueryBroker:
         network = self.network
         energy_before = network.total_energy()
         tx_before = float(network.stats.total_tx_packets())
-        heal = reattach_tree(
-            network, self.tree, seed=self.tree_seed,
-            tracer=self.tracer, time_s=now,
-        )
+        heal = reattach_tree(network, self.tree, seed=self.tree_seed, time_s=now)
         self.tree = heal.tree
         self._repairs += 1
         self._repair_beacons += heal.beacons

@@ -31,8 +31,14 @@ A :class:`FaultPlan` is an immutable, time-sorted schedule; building one from
 a seed (:func:`random_crash_plan`) is deterministic, so a fixed plan yields
 identical retries, energy and recall on every run.  :class:`FaultInjector`
 replays the plan as a kernel process sharing the engine's
-:class:`~repro.sim.kernel.Environment`, emitting one
-:data:`~repro.sim.trace.FAULT_INJECT` trace event per applied fault.
+:class:`~repro.sim.kernel.Environment`.  Every fault goes through
+:func:`apply_fault` onto the topology and :func:`record_fault` into the
+run's telemetry (one :data:`~repro.sim.trace.FAULT_INJECT` trace event per
+applied fault); the broker's churn replay uses the same pair.
+
+:class:`RetryPolicy` is the re-execution half of §IV-F: a retry bound and an
+exponential backoff, shared by the DES engine's recovery loop and the
+broker's shared-epoch retries.
 
 :class:`ChurnModel` generalizes the fixed schedule into a seeded *process*
 description — hazard-rate departures, timed rejoins at perturbed positions,
@@ -45,14 +51,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
-from ..obs.telemetry import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import Telemetry
 from .kernel import Environment, Process
 from .network import Network
 from .node import BASE_STATION_ID
-from .trace import FAULT_INJECT, NullTracer, Tracer
+from .trace import FAULT_INJECT
 
 __all__ = [
     "NODE_CRASH",
@@ -64,6 +70,9 @@ __all__ = [
     "FaultPlan",
     "ChurnModel",
     "FaultInjector",
+    "RetryPolicy",
+    "apply_fault",
+    "record_fault",
     "random_crash_plan",
 ]
 
@@ -77,6 +86,45 @@ _KINDS = (NODE_CRASH, LINK_DROP, LOSS_BURST, NODE_REJOIN, NODE_MOVE)
 
 #: Kinds whose application reads the optional ``x``/``y`` position payload.
 _POSITIONED_KINDS = (NODE_REJOIN, NODE_MOVE)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Bounded re-execution with exponential backoff (§IV-F).
+
+    After a failed first attempt up to ``max_retries`` re-executions follow.
+    The wait before the first retry is ``backoff_s``; each later wait is the
+    previous one times ``backoff_factor``.  Subclasses add what their
+    execution model needs and keep their own defaults.
+    """
+
+    max_retries: int
+    backoff_s: float
+    backoff_factor: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError(f"negative retry bound: {self.max_retries}")
+        if self.backoff_s < 0:
+            raise ValueError(f"negative backoff: {self.backoff_s}")
+        if self.backoff_factor < 1.0:
+            raise ValueError(
+                f"backoff factor must be >= 1, got {self.backoff_factor}"
+            )
+
+    def schedule(self) -> Iterator[Tuple[int, Optional[float]]]:
+        """``(attempt, backoff)`` for every attempt the policy allows.
+
+        ``backoff`` is the wait before the next attempt if this one fails;
+        it is ``None`` for the last attempt.  Each backoff is the previous
+        one multiplied by ``backoff_factor``, so retry times are the same
+        floats a hand-written ``backoff *= factor`` loop produces.
+        """
+        backoff = self.backoff_s
+        for attempt in range(self.max_retries):
+            yield attempt, backoff
+            backoff *= self.backoff_factor
+        yield self.max_retries, None
 
 
 @dataclass(frozen=True)
@@ -416,16 +464,61 @@ class ChurnModel:
         return FaultPlan(tuple(faults))
 
 
+def apply_fault(network: Network, fault: Fault) -> bool:
+    """Apply one topology fault to ``network``; True when a live node died.
+
+    Handles crashes, link drops, rejoins and moves.  A fault whose target
+    node the deployment lacks raises :class:`~repro.errors.SimulationError`.
+    A loss burst changes the channel, not the topology, and is left to
+    :class:`FaultInjector`: here it changes nothing.
+    """
+    if fault.kind == NODE_CRASH:
+        node = network.nodes.get(fault.node_a)
+        if node is None:
+            raise SimulationError(f"fault targets unknown node {fault.node_a}")
+        if not node.alive:
+            return False
+        network.fail_node(fault.node_a)
+        return True
+    if fault.kind == LINK_DROP:
+        network.fail_link(fault.node_a, fault.node_b)
+    elif fault.kind == NODE_REJOIN:
+        network.revive_node(fault.node_a, fault.x, fault.y)
+    elif fault.kind == NODE_MOVE:
+        network.move_node(fault.node_a, fault.x, fault.y)
+    return False
+
+
+def record_fault(telemetry: Telemetry, time_s: float, fault: Fault) -> None:
+    """Count one applied fault and emit its ``fault-inject`` trace event."""
+    reg = telemetry.registry
+    if reg.enabled:
+        reg.counter("faults_injected_total", kind=fault.kind).inc()
+    detail = {
+        "fault": fault.kind,
+        "node_b": fault.node_b,
+        "duration_s": fault.duration_s,
+        "loss_rate": fault.loss_rate,
+    }
+    if fault.kind in _POSITIONED_KINDS:
+        # Position payload only for the churn kinds: pre-churn traces
+        # keep their exact historical shape.
+        detail["x"] = fault.x
+        detail["y"] = fault.y
+    telemetry.tracer.emit(time_s, fault.node_a, FAULT_INJECT, **detail)
+
+
 class FaultInjector:
     """Replays a :class:`FaultPlan` on a live simulation.
 
     Runs as a kernel process on the engine's environment; each fault is
-    applied at its scheduled simulated time.  ``on_node_crash`` lets the
-    engine interrupt the dead node's protocol process the instant the crash
-    lands (the process must not keep sending from beyond the grave);
-    ``on_node_rejoin`` symmetrically lets it spawn a protocol process for a
-    node that came back mid-run (or mark the topology dirty for the next
-    repair pass).
+    applied at its scheduled simulated time and recorded into the run's
+    telemetry, read from ``network.channel.telemetry``.  ``on_node_crash``
+    lets the engine interrupt the dead node's protocol process the instant
+    the crash lands (the process must not keep sending from beyond the
+    grave); ``on_node_rejoin`` symmetrically lets it spawn a protocol
+    process for a node that came back mid-run (or mark the topology dirty
+    for the next repair pass).
 
     Loss bursts are implemented by swapping the channel's
     ``loss_probability`` for a wrapper that floors every link at the highest
@@ -438,16 +531,12 @@ class FaultInjector:
         env: Environment,
         network: Network,
         plan: FaultPlan,
-        tracer: Optional[Tracer] = None,
         on_node_crash: Optional[Callable[[int], None]] = None,
-        telemetry: Optional[Telemetry] = None,
         on_node_rejoin: Optional[Callable[[int], None]] = None,
     ):
         self.env = env
         self.network = network
         self.plan = plan
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.on_node_crash = on_node_crash
         self.on_node_rejoin = on_node_rejoin
         self.applied: List[Fault] = []
@@ -468,40 +557,16 @@ class FaultInjector:
             self._apply(fault)
 
     def _apply(self, fault: Fault) -> None:
-        if fault.kind == NODE_CRASH:
-            node = self.network.nodes.get(fault.node_a)
-            if node is None:
-                raise SimulationError(f"fault targets unknown node {fault.node_a}")
-            if node.alive:
-                self.network.fail_node(fault.node_a)
-                if self.on_node_crash is not None:
-                    self.on_node_crash(fault.node_a)
-        elif fault.kind == LINK_DROP:
-            self.network.fail_link(fault.node_a, fault.node_b)
-        elif fault.kind == NODE_REJOIN:
-            self.network.revive_node(fault.node_a, fault.x, fault.y)
-            if self.on_node_rejoin is not None:
-                self.on_node_rejoin(fault.node_a)
-        elif fault.kind == NODE_MOVE:
-            self.network.move_node(fault.node_a, fault.x, fault.y)
-        else:
+        if fault.kind == LOSS_BURST:
             self._start_burst(fault)
+        else:
+            died = apply_fault(self.network, fault)
+            if died and self.on_node_crash is not None:
+                self.on_node_crash(fault.node_a)
+            if fault.kind == NODE_REJOIN and self.on_node_rejoin is not None:
+                self.on_node_rejoin(fault.node_a)
         self.applied.append(fault)
-        reg = self.telemetry.registry
-        if reg.enabled:
-            reg.counter("faults_injected_total", kind=fault.kind).inc()
-        detail = {
-            "fault": fault.kind,
-            "node_b": fault.node_b,
-            "duration_s": fault.duration_s,
-            "loss_rate": fault.loss_rate,
-        }
-        if fault.kind in _POSITIONED_KINDS:
-            # Position payload only for the churn kinds: pre-churn traces
-            # keep their exact historical shape.
-            detail["x"] = fault.x
-            detail["y"] = fault.y
-        self.tracer.emit(self.env.now, fault.node_a, FAULT_INJECT, **detail)
+        record_fault(self.network.channel.telemetry, self.env.now, fault)
 
     def _burst_loss(self, sender: int, receiver: int) -> float:
         base = self._base_loss(sender, receiver) if self._base_loss is not None else 0.0

@@ -64,7 +64,7 @@ from ..errors import SimulationError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .energy import EnergyModel
 from .stats import TransmissionStats
-from .trace import LINK_DEAD, LINK_RETX, NullTracer, Tracer
+from .trace import LINK_DEAD, LINK_RETX
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Environment
@@ -172,7 +172,6 @@ class Channel:
         loss_probability: Optional[Callable[[int, int], float]] = None,
         arq: Optional[ArqConfig] = None,
         arq_seed: int = 0,
-        tracer: Optional[Tracer] = None,
         link_up: Optional[Callable[[int, int], bool]] = None,
         telemetry: Optional[Telemetry] = None,
         energy_model: Optional[EnergyModel] = None,
@@ -185,10 +184,10 @@ class Channel:
         self.env = env
         self.loss_probability = loss_probability
         self.arq = arq or ArqConfig()
-        # Not `tracer or ...`: an empty ListTracer is falsy (it has __len__).
-        self.tracer = tracer if tracer is not None else NullTracer()
-        #: Metrics sink for per-node/per-phase traffic and energy counters;
-        #: disabled by default so the packet hot path pays one bool check.
+        #: The run's telemetry: its registry takes per-node/per-phase traffic
+        #: and energy counters, its tracer the link events.  Disabled by
+        #: default so the packet hot path pays one bool check;
+        #: :func:`~repro.obs.telemetry.instrumented` installs a live one.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: ``(sender, receiver) -> bool``; None means every link is up.
         self.link_up = link_up
@@ -298,7 +297,7 @@ class Channel:
             + self.arq.backoff_delay_s(retx_packets)
         )
         self.total_arq_delay_s += arq_delay
-        self.tracer.emit(
+        self.telemetry.tracer.emit(
             self._now(), sender, LINK_RETX,
             receivers=receivers, phase=phase, retries=retx_packets,
             bytes=retx_bytes,
@@ -343,7 +342,7 @@ class Channel:
         self.last_send_latency_s = packets * self.hop_latency_s + arq_delay
         if not delivered:
             self.last_send_delivered = False
-            self.tracer.emit(
+            self.telemetry.tracer.emit(
                 self._now(), sender, LINK_DEAD,
                 receiver=receiver, phase=phase, bytes=payload_bytes,
             )
@@ -397,7 +396,7 @@ class Channel:
         if len(reached) < len(receiver_ids):
             self.last_send_delivered = False
             missed = tuple(r for r in receiver_ids if r not in reached)
-            self.tracer.emit(
+            self.telemetry.tracer.emit(
                 self._now(), sender, LINK_DEAD,
                 receivers=missed, phase=phase, bytes=payload_bytes,
             )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.joins.base import ExecutionContext, oracle_result
 from repro.query.parser import parse_query
 from repro.routing.ctp import build_tree, reattach_tree
@@ -290,6 +291,16 @@ def test_zero_churn_resilient_path_matches_plain_broker(make_deployment):
         assert out.result_set() == ref.result_set()
         assert out.status == "completed"
         assert out.recall == 1.0
+
+
+def test_broker_crash_of_unknown_node_raises(deployment):
+    """The broker applies churn through the injector's applier: a fault on
+    a node the deployment lacks is an error, not a silent no-op."""
+    network, world, tree = deployment
+    plan = FaultPlan([Fault(time_s=0.0, kind=NODE_CRASH, node_a=99999)])
+    broker = QueryBroker(network, world, BrokerConfig(), tree=tree, churn=plan)
+    with pytest.raises(SimulationError, match="unknown node 99999"):
+        broker.run(_workload())
 
 
 def test_broker_rejects_loss_burst_plans(deployment):

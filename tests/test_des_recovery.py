@@ -14,6 +14,7 @@ from repro.joins.base import ExecutionContext, oracle_result
 from repro.joins.des_sensjoin import DesSensJoin, RecoveryPolicy
 from repro.joins.runner import run_snapshot
 from repro.joins.sensjoin import PHASE_COLLECTION
+from repro.obs.telemetry import Telemetry
 from repro.routing.ctp import build_tree
 from repro.sim.faults import Fault, FaultPlan, LOSS_BURST, NODE_CRASH
 from repro.sim.network import DeploymentConfig, deploy_uniform
@@ -56,13 +57,14 @@ class TestMidCollectionCrash:
         victim = pick_victim(tree)
         plan = FaultPlan((Fault(EARLY_CRASH_S, NODE_CRASH, node_a=victim),))
         tracer = ListTracer()
-        engine = DesSensJoin(fault_plan=plan, tracer=tracer, repair_seed=SEED)
+        engine = DesSensJoin(fault_plan=plan, repair_seed=SEED)
         world.take_snapshot(0.0)
         oracle = oracle_result(
             ExecutionContext(network=network, tree=tree, world=world, query=tail_query(1.0))
         )
         outcome = run_snapshot(
-            network, world, tail_query(1.0), engine, tree=tree, tree_seed=SEED
+            network, world, tail_query(1.0), engine, tree=tree, tree_seed=SEED,
+            telemetry=Telemetry(tracer=tracer),
         )
         return network, victim, tracer, oracle, outcome
 

@@ -236,6 +236,7 @@ class TestFilterWave:
         """One filter costs its own bytes; two ride the same broadcasts, each
         framed by a piggyback header."""
         from repro.joins.base import ExecutionContext
+        from repro.joins.filterbuild import build_join_filter
         from repro.routing.ctp import build_tree
         from repro.routing.dissemination import PIGGYBACK_HEADER_BYTES
 
@@ -248,7 +249,7 @@ class TestFilterWave:
             for _ in range(count):
                 context = ExecutionContext(small_network, tree, small_world, tail_query(1.5))
                 run = algo.begin(context)
-                run.join_filter = algo.build_filter(run.fmt, algo.collect(run))
+                run.join_filter = build_join_filter(run.fmt, algo.collect(run))
                 runs.append(run)
             small_network.reset_accounting()
             piggybacked = algo.disseminate(runs, 0.0)

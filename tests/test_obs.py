@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.joins.runner import run_snapshot
+from repro.joins.runner import make_algorithm, run_snapshot
 from repro.joins.sensjoin import (
     PHASE_COLLECTION,
     PHASE_FILTER,
@@ -404,24 +404,43 @@ class TestInstrumentedRun:
     def test_runner_restores_channel_telemetry(
         self, small_network, small_world, tail_query
     ):
-        before_tracer = small_network.channel.tracer
         run_snapshot(
             small_network, small_world, tail_query(1.5), "sens-join",
             tree_seed=11, telemetry=Telemetry.capture(),
         )
-        assert small_network.channel.tracer is before_tracer
         assert small_network.channel.telemetry is NULL_TELEMETRY
 
     def test_instrumented_none_preserves_attached_tracer(
         self, small_network, small_world, tail_query
     ):
-        attached = ListTracer()
-        small_network.channel.tracer = attached
+        attached = Telemetry(tracer=ListTracer())
+        small_network.channel.telemetry = attached
         run_snapshot(
             small_network, small_world, tail_query(1.5), "sens-join",
-            tree_seed=11,  # telemetry=None must not clobber the tracer
+            tree_seed=11,  # telemetry=None must not clobber the attached one
         )
-        assert small_network.channel.tracer is attached
+        assert small_network.channel.telemetry is attached
+        # The engine observed the run through the attached telemetry.
+        assert attached.tracer.filter(kind=SPAN_END)
+
+    @pytest.mark.parametrize("engine", ["sens-join", "des-sensjoin"])
+    def test_reused_engine_leaves_first_capture_alone(
+        self, small_network, small_world, tail_query, engine
+    ):
+        """Engines hold no observation state: an untraced run after a traced
+        one with the same instance adds nothing to the first capture."""
+        algo = make_algorithm(engine)
+        tel = Telemetry.capture()
+        run_snapshot(
+            small_network, small_world, tail_query(1.5), algo,
+            tree_seed=11, telemetry=tel,
+        )
+        events = len(tel.tracer)
+        samples = tel.registry.samples()
+        assert tel.tracer.filter(kind=SPAN_END)
+        run_snapshot(small_network, small_world, tail_query(1.5), algo, tree_seed=11)
+        assert len(tel.tracer) == events
+        assert tel.registry.samples() == samples
 
     def test_des_engine_emits_spans_on_simulated_clock(
         self, small_network, small_world, tail_query

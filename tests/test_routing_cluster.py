@@ -10,9 +10,8 @@ from repro.routing.cluster import (
     build_cluster_tree,
     build_routing_tree,
     elect_heads,
-    _bfs_hops,
 )
-from repro.routing.ctp import build_tree
+from repro.routing.ctp import build_tree, hop_distances
 from repro.sim.network import DeploymentConfig, deploy_uniform
 from repro.sim.node import BASE_STATION_ID
 from repro.sim.spatial import grid_cell
@@ -89,7 +88,7 @@ def test_cluster_tree_valid_and_total(network):
 
 def test_members_obey_strict_hop_rule(network):
     layout = build_cluster_tree(network, seed=0)
-    hops = _bfs_hops(network)
+    hops = hop_distances(network)
     for member, head in layout.members.items():
         assert head in layout.heads
         assert network.link_up(member, head)

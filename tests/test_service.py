@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.joins.base import ExecutionContext, oracle_result
-from repro.joins.des_sensjoin import DesSensJoin
+from repro.joins.base import ExecutionContext, TupleFormat, oracle_result
 from repro.joins.filterbuild import build_join_filter, compose_filters
 from repro.joins.runner import run_snapshot
 from repro.joins.sensjoin import SensJoin
@@ -409,50 +408,35 @@ def test_latency_percentile_validation(deployment, templates):
                      batch_count=0).latency_percentile(0.5)
 
 
-# -- filter override hook ----------------------------------------------------
+# -- composed (superset) filters ---------------------------------------------
 
 
 def test_filter_override_superset_keeps_sensjoin_exact(deployment):
-    """A widened (composed) filter must not change a SensJoin result."""
+    """A widened (composed) filter must not change a SensJoin result.
+
+    Drives the broker's own path: one collection, the union of two queries'
+    filters disseminated, and the final phase of the narrower query.
+    """
     network, world, tree = deployment
     query, other = _tail(1.4), _tail(0.8)
-
-    def widen(fmt, points):
-        return compose_filters(
-            [build_join_filter(fmt, points),
-             build_join_filter(ExecutionContext(
-                 network=network, tree=tree, world=world, query=other
-             ).tuple_format(), points)]
-        )
-
     plain = run_snapshot(network, world, query, tree=tree)
-    widened = run_snapshot(
-        network, world, query, tree=tree,
-        algorithm=SensJoin(filter_override=widen),
+
+    engine = SensJoin()
+    network.reset_accounting()
+    run = engine.begin(
+        ExecutionContext(network=network, tree=tree, world=world, query=query)
     )
-    assert widened.result.result_set() == plain.result.result_set()
+    points = engine.collect(run)
+    run.join_filter = compose_filters(
+        [build_join_filter(run.fmt, points),
+         build_join_filter(TupleFormat(other, world), points)]
+    )
+    assert run.join_filter != build_join_filter(run.fmt, points)
+    engine.disseminate([run], run.finish_s)
+    widened = engine.final(run)
+    assert widened.result_set() == plain.result.result_set()
     # The wider filter can only let *more* tuples through phase 2.
-    assert widened.total_transmissions >= plain.total_transmissions
-
-
-def test_filter_override_superset_keeps_des_sensjoin_exact(deployment):
-    network, world, tree = deployment
-    query, other = _tail(1.4), _tail(0.8)
-
-    def widen(fmt, points):
-        return compose_filters(
-            [build_join_filter(fmt, points),
-             build_join_filter(ExecutionContext(
-                 network=network, tree=tree, world=world, query=other
-             ).tuple_format(), points)]
-        )
-
-    plain = run_snapshot(network, world, query, tree=tree, algorithm="des-sensjoin")
-    widened = run_snapshot(
-        network, world, query, tree=tree,
-        algorithm=DesSensJoin(filter_override=widen),
-    )
-    assert widened.result.result_set() == plain.result.result_set()
+    assert network.stats.total_tx_packets() >= plain.total_transmissions
 
 
 # -- resilience: error isolation, deadlines, shedding ------------------------

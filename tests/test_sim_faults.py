@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.telemetry import Telemetry, instrumented
 from repro.sim.faults import (
     LINK_DROP,
     LOSS_BURST,
@@ -10,6 +11,7 @@ from repro.sim.faults import (
     Fault,
     FaultInjector,
     FaultPlan,
+    RetryPolicy,
     random_crash_plan,
 )
 from repro.sim.kernel import Environment
@@ -109,6 +111,13 @@ class TestRandomCrashPlan:
             random_crash_plan([1, 2, 3], -1)
 
 
+class TestRetryPolicy:
+    def test_schedule_multiplies_backoff_and_ends_with_none(self):
+        policy = RetryPolicy(max_retries=2, backoff_s=0.05, backoff_factor=3.0)
+        assert list(policy.schedule()) == [(0, 0.05), (1, 0.05 * 3.0), (2, None)]
+        assert list(RetryPolicy(max_retries=0, backoff_s=1.0).schedule()) == [(0, None)]
+
+
 class TestFaultInjector:
     def test_crash_applied_at_scheduled_time(self, network):
         victim = network.sensor_node_ids[7]
@@ -118,10 +127,12 @@ class TestFaultInjector:
         injector = FaultInjector(
             env, network,
             FaultPlan((Fault(1.5, NODE_CRASH, node_a=victim),)),
-            tracer=tracer, on_node_crash=killed.append,
+            on_node_crash=killed.append,
         )
         injector.start()
-        env.run()
+        # The injector records into the run's telemetry on the channel.
+        with instrumented(network, Telemetry(tracer=tracer)):
+            env.run()
         assert env.now == 1.5
         assert not network.nodes[victim].alive
         assert killed == [victim]

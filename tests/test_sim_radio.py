@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.obs.telemetry import Telemetry
 from repro.sim.energy import EnergyModel
 from repro.sim.radio import ArqConfig, Channel, PacketFormat
 from repro.sim.stats import TransmissionStats
@@ -118,13 +119,13 @@ class TestChannel:
 
 
 def make_lossy_channel(p_loss, max_packet=48, nodes=(1, 2, 3), seed=0, arq=None,
-                       tracer=None):
+                       telemetry=None):
     """A channel where every link loses each packet with probability p_loss."""
     stats = TransmissionStats()
     channel = Channel(
         PacketFormat(max_packet), stats, nodes,
         loss_probability=lambda a, b: p_loss, arq=arq, arq_seed=seed,
-        tracer=tracer,
+        telemetry=telemetry,
     )
     return channel, stats
 
@@ -266,7 +267,7 @@ class TestLossyChannel:
         from repro.sim.trace import ListTracer
 
         tracer = ListTracer()
-        channel, _ = make_lossy_channel(0.7, seed=5, tracer=tracer)
+        channel, _ = make_lossy_channel(0.7, seed=5, telemetry=Telemetry(tracer=tracer))
         channel.unicast(1, 2, 480, "phase")
         events = tracer.filter(kind="link-retx")
         assert events
@@ -290,14 +291,13 @@ class TestLossyChannel:
 class TestDeadLinks:
     """§IV-F: sends over a severed link spend the ARQ budget, deliver nothing."""
 
-    def make_dead_channel(self, dead=(3,), loss=None, seed=5, tracer=None):
+    def make_dead_channel(self, dead=(3,), loss=None, seed=5, telemetry=None):
         stats = TransmissionStats()
-        kwargs = {"tracer": tracer} if tracer is not None else {}
         channel = Channel(
             PacketFormat(48), stats, (1, 2, 3),
             loss_probability=loss, arq_seed=seed,
             link_up=lambda a, b: b not in dead,
-            **kwargs,
+            telemetry=telemetry,
         )
         return channel, stats
 
@@ -354,7 +354,7 @@ class TestDeadLinks:
         from repro.sim.trace import LINK_DEAD, ListTracer
 
         tracer = ListTracer()
-        channel, _ = self.make_dead_channel(tracer=tracer)
+        channel, _ = self.make_dead_channel(telemetry=Telemetry(tracer=tracer))
         channel.unicast(1, 3, 480, "phase")
         events = tracer.filter(kind=LINK_DEAD)
         assert len(events) == 1

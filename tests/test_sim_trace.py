@@ -1,5 +1,6 @@
 """Tracer tests, including the SENS-Join protocol trace."""
 
+import ast
 import re
 from collections import Counter
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.joins.runner import run_snapshot
-from repro.joins.sensjoin import SensJoin
+from repro.obs.telemetry import Telemetry
 from repro.sim.trace import (
     KNOWN_EVENT_KINDS,
     ListTracer,
@@ -138,13 +139,58 @@ class TestEventKindRegistry:
             f"constant: {offenders}"
         )
 
+    def test_one_telemetry_handle_per_run(self):
+        """Grep-proof: the run's telemetry lives on the channel only.
+
+        Outside ``repro/obs/`` and ``repro/sim/trace.py`` no function takes
+        a ``tracer`` parameter, and only ``instrumented()`` assigns
+        ``channel.telemetry``.
+        """
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        tracer_params = []
+        telemetry_writes = []
+
+        def is_channel(node):
+            return (isinstance(node, ast.Name) and node.id == "channel") or (
+                isinstance(node, ast.Attribute) and node.attr == "channel"
+            )
+
+        def visit(node, path, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+                args = node.args
+                names = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+                exempt = path.parts[0] == "obs" or path.as_posix() == "sim/trace.py"
+                if "tracer" in names and not exempt:
+                    tracer_params.append(f"{path}:{node.lineno} {node.name}")
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for target in targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr == "telemetry"
+                    and is_channel(target.value)
+                    and function != "instrumented"
+                ):
+                    telemetry_writes.append(f"{path}:{node.lineno} in {function}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, path, function)
+
+        for file in sorted(src.rglob("*.py")):
+            visit(ast.parse(file.read_text()), file.relative_to(src), None)
+        assert not tracer_params, f"functions taking a tracer: {tracer_params}"
+        assert not telemetry_writes, f"channel.telemetry assigned: {telemetry_writes}"
+
     def test_traced_run_emits_only_registered_kinds(
         self, small_network, small_world, tail_query
     ):
         tracer = ListTracer()
         run_snapshot(
             small_network, small_world, tail_query(1.5),
-            SensJoin(tracer=tracer), tree_seed=11,
+            "sens-join", tree_seed=11, telemetry=Telemetry(tracer=tracer),
         )
         assert tracer.kinds() <= KNOWN_EVENT_KINDS
 
@@ -154,7 +200,7 @@ class TestProtocolTrace:
         tracer = ListTracer()
         run_snapshot(
             small_network, small_world, tail_query(1.5),
-            SensJoin(tracer=tracer), tree_seed=11,
+            "sens-join", tree_seed=11, telemetry=Telemetry(tracer=tracer),
         )
         kinds = tracer.kinds()
         assert "treecut-exit" in kinds
@@ -167,7 +213,7 @@ class TestProtocolTrace:
         tracer = ListTracer()
         outcome = run_snapshot(
             small_network, small_world, tail_query(1.5),
-            SensJoin(tracer=tracer), tree_seed=11,
+            "sens-join", tree_seed=11, telemetry=Telemetry(tracer=tracer),
         )
         assert len(tracer.filter(kind="treecut-exit")) == outcome.details["treecut_exited"]
         assert len(tracer.filter(kind="proxy-store")) == outcome.details["treecut_proxies"]
@@ -181,7 +227,7 @@ class TestProtocolTrace:
         tracer = ListTracer()
         outcome = run_snapshot(
             small_network, small_world, tail_query(2.5),
-            SensJoin(tracer=tracer), tree_seed=11,
+            "sens-join", tree_seed=11, telemetry=Telemetry(tracer=tracer),
         )
         assert (
             len(tracer.filter(kind="filter-pruned"))

@@ -316,7 +316,7 @@ class TestKernelSampling:
         sampler = MetricsSampler(telemetry=telemetry, period_s=0.01)
         sampler.watch_network(network, battery_j=1e9)
         sampler.watch_tree(lambda: tree)
-        algo = DesSensJoin(telemetry=telemetry, sampler=sampler)
+        algo = DesSensJoin(sampler=sampler)
         run_snapshot(
             network, world, query, algorithm=algo, tree=tree,
             telemetry=telemetry,

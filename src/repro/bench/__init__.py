@@ -18,7 +18,7 @@ Command line: ``python -m repro.bench run --all --jobs 4``.
 
 from .ascii_viz import render_field, render_histogram, render_node_load, render_tree_depths
 from .cache import ResultCache, cache_key, code_fingerprint
-from .calibrate import calibrate_threshold, measure_result_fraction, snapshot_rows
+from .calibrate import calibrate_threshold, measure_result_fraction
 from .experiments import (
     RATIO_SETTINGS,
     ablation_study,
@@ -103,6 +103,5 @@ __all__ = [
     "response_time_study",
     "run_experiments",
     "save_csv",
-    "snapshot_rows",
     "variance_study",
 ]

@@ -15,42 +15,29 @@ calibration is exact with respect to the data the protocols will see.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Tuple
 
 from ..data.relations import SensorWorld
 from ..errors import QueryError
-from ..joins.base import TupleFormat, node_tuple
-from ..query.evaluate import Row, evaluate_join
+from ..joins.base import TupleFormat, acquire, evaluate_arrived
 from ..query.query import JoinQuery
 
-__all__ = ["measure_result_fraction", "calibrate_threshold", "snapshot_rows"]
-
-
-def snapshot_rows(world: SensorWorld, query: JoinQuery) -> Dict[str, List[Row]]:
-    """The per-alias candidate tuples of the current snapshot.
-
-    Applies relation membership and selection predicates exactly like the
-    protocols do (via :func:`repro.joins.base.node_tuple`), so the measured
-    fraction matches what an execution would produce.
-    """
-    fmt = TupleFormat(query, world)
-    rows: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-    for node_id in world.network.sensor_node_ids:
-        record, flags = node_tuple(fmt, node_id)
-        if record is None:
-            continue
-        for alias in fmt.aliases_of_flags(flags):
-            rows[alias].append(Row(node_id, dict(record.values)))
-    return rows
+__all__ = ["measure_result_fraction", "calibrate_threshold"]
 
 
 def measure_result_fraction(world: SensorWorld, query: JoinQuery) -> float:
-    """Fraction of sensor nodes whose tuple appears in the join result."""
-    total = len(world.network.sensor_node_ids)
-    if total == 0:
+    """Fraction of sensor nodes whose tuple appears in the join result.
+
+    The tuples are acquired exactly like the protocols acquire them (via
+    :func:`repro.joins.base.acquire`), so the measured fraction matches what
+    an execution would produce.
+    """
+    sensor_ids = world.network.sensor_node_ids
+    if not sensor_ids:
         raise QueryError("network has no sensor nodes")
-    result = evaluate_join(query, snapshot_rows(world, query), apply_selections=False)
-    return len(result.all_contributing_nodes()) / total
+    fmt = TupleFormat(query, world)
+    result = evaluate_arrived(query, fmt, acquire(fmt, sensor_ids).values())
+    return len(result.all_contributing_nodes()) / len(sensor_ids)
 
 
 def calibrate_threshold(

@@ -18,7 +18,7 @@ two-bit relation flags ('10' = A, '01' = B, '11' = both, §V-C).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import constants
 from ..codec.quadtree import FlaggedPoint, QuadtreeCodec
@@ -30,6 +30,7 @@ from ..query.expressions import Predicate
 from ..query.query import JoinQuery
 from ..routing.tree import RoutingTree
 from ..sim.network import Network
+from ..sim.radio import Channel
 from ..sim.stats import TransmissionStats
 
 __all__ = [
@@ -38,6 +39,9 @@ __all__ = [
     "FullTupleRecord",
     "JoinOutcome",
     "JoinAlgorithm",
+    "acquire",
+    "convergecast",
+    "evaluate_arrived",
     "node_tuple",
     "oracle_result",
 ]
@@ -178,6 +182,61 @@ def node_tuple(
     return FullTupleRecord(node_id, flags, values), flags
 
 
+def acquire(fmt: TupleFormat, node_ids: Iterable[int]) -> Dict[int, FullTupleRecord]:
+    """The tuples of ``node_ids``, keyed by node id in the given order.
+
+    Nodes for which :func:`node_tuple` returns no tuple are left out.
+    """
+    records: Dict[int, FullTupleRecord] = {}
+    for node_id in node_ids:
+        record, _flags = node_tuple(fmt, node_id)
+        if record is not None:
+            records[node_id] = record
+    return records
+
+
+def convergecast(
+    channel: Channel, tree: RoutingTree, payload_bytes: Mapping[int, int], phase: str
+) -> float:
+    """Ship every node's ``payload_bytes`` up ``tree`` to its root.
+
+    Post-order: each node sends its own bytes (0 when it has no entry) plus
+    everything its children sent it to its parent in one unicast, so the
+    bytes aggregate into as few packets as possible on the way up.  Returns
+    the critical-path time at which ``tree.root`` has heard from all its
+    children.
+    """
+    carried: Dict[int, int] = {}
+    finish: Dict[int, float] = {}
+    for node_id in tree.post_order():
+        children = tree.children(node_id)
+        payload = payload_bytes.get(node_id, 0)
+        payload += sum(carried.pop(child) for child in children)
+        ready = max((finish.pop(child) for child in children), default=0.0)
+        if node_id != tree.root:
+            channel.unicast(node_id, tree.parent(node_id), payload, phase)
+            ready += channel.last_send_latency_s
+        carried[node_id] = payload
+        finish[node_id] = ready
+    return finish[tree.root]
+
+
+def evaluate_arrived(
+    query: JoinQuery, fmt: TupleFormat, records: Iterable[FullTupleRecord]
+) -> JoinResult:
+    """The exact join of ``query`` over complete tuples, under their alias flags.
+
+    Any query sharing ``fmt``'s aliases and flag bits can be evaluated over
+    the same records.  Selections were applied at acquisition time, hence
+    ``apply_selections=False``.
+    """
+    tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
+    for record in records:
+        for alias in fmt.aliases_of_flags(record.flags):
+            tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
+    return evaluate_join(query, tuples_by_alias, apply_selections=False)
+
+
 def oracle_result(context: "ExecutionContext") -> JoinResult:
     """The lossless join result over every currently alive sensor node.
 
@@ -186,14 +245,8 @@ def oracle_result(context: "ExecutionContext") -> JoinResult:
     injecting faults: it reflects the node population at call time.
     """
     fmt = context.tuple_format()
-    tuples: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-    for node_id in context.network.sensor_node_ids:
-        record, _flags = node_tuple(fmt, node_id)
-        if record is None:
-            continue
-        for alias in fmt.aliases_of_flags(record.flags):
-            tuples[alias].append(Row(record.node_id, dict(record.values)))
-    return evaluate_join(context.query, tuples, apply_selections=False)
+    records = acquire(fmt, context.network.sensor_node_ids)
+    return evaluate_arrived(context.query, fmt, records.values())
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ schedule is implicit.  This module is an *independent second implementation*
 in the event-driven style of the paper's Fig. 1: every node is a kernel
 process that sleeps between phases, waits for its children's messages,
 applies the Fig. 2/3 logic, and sends.  Nothing here shares protocol code
-with the fast path (only the codec, the quantizer and the filter builder are
-reused — they define the wire format, not the protocol).
+with the fast path (only the codec, the quantizer,
+:func:`~repro.joins.filterbuild.build_join_filter` and the base-station
+evaluator :func:`~repro.joins.base.evaluate_arrived` are reused — they
+define the wire format and the exact final join, not the protocol).
 
 Purpose: equivalence testing.  ``tests/test_joins_des.py`` asserts that for
 the paper's default configuration the DES engine produces *identical*
@@ -51,7 +53,7 @@ from ..codec.setops import intersect_points, union_points
 from ..errors import ExecutionAborted
 from ..obs.telemetry import Telemetry, instrumented
 from ..obs.timeseries import MetricsSampler
-from ..query.evaluate import JoinResult, Row, evaluate_join
+from ..query.evaluate import JoinResult
 from ..routing.ctp import reattach_tree, repair_tree
 from ..routing.tree import RoutingTree
 from ..sim.faults import FaultInjector, FaultPlan, RetryPolicy
@@ -65,6 +67,7 @@ from .base import (
     JoinAlgorithm,
     JoinOutcome,
     TupleFormat,
+    evaluate_arrived,
     node_tuple,
     oracle_result,
 )
@@ -471,11 +474,7 @@ class DesSensJoin(JoinAlgorithm):
     ) -> JoinResult:
         mailbox = state.mailboxes[BASE_STATION_ID]
         arrived = list(mailbox.final_tuples) + list(mailbox.full_tuples)
-        tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-        for record in arrived:
-            for alias in fmt.aliases_of_flags(record.flags):
-                tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
-        return evaluate_join(context.query, tuples_by_alias, apply_selections=False)
+        return evaluate_arrived(context.query, fmt, arrived)
 
     def _spawn_attempt(
         self,

@@ -15,16 +15,14 @@ paper's implementation notes apply here too:
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from ..query.evaluate import Row, evaluate_join
-from ..sim.node import BASE_STATION_ID
+from .. import constants
 from .base import (
     ExecutionContext,
-    FullTupleRecord,
     JoinAlgorithm,
     JoinOutcome,
-    node_tuple,
+    acquire,
+    convergecast,
+    evaluate_arrived,
 )
 
 __all__ = ["ExternalJoin", "EXTERNAL_PHASE"]
@@ -41,55 +39,27 @@ class ExternalJoin(JoinAlgorithm):
         """One snapshot execution; see the module docstring."""
         network, tree = context.network, context.tree
         fmt = context.tuple_format()
-        channel = network.channel
 
-        # Payload accumulated per node (bytes and the actual records), and
-        # the critical-path completion time per node.
-        carried_bytes: Dict[int, int] = {}
-        carried_records: Dict[int, List[FullTupleRecord]] = {}
-        finish_time: Dict[int, float] = {}
-
-        for node_id in tree.post_order():
-            records: List[FullTupleRecord] = []
-            payload = 0
-            children_finish = 0.0
-            for child in tree.children(node_id):
-                payload += carried_bytes.pop(child)
-                records.extend(carried_records.pop(child))
-                children_finish = max(children_finish, finish_time[child])
-            record, _flags = node_tuple(fmt, node_id)
-            if record is not None:
-                records.append(record)
-                payload += fmt.full_tuple_bytes
-            if node_id == BASE_STATION_ID:
-                carried_bytes[node_id] = payload
-                carried_records[node_id] = records
-                finish_time[node_id] = children_finish
-                continue
-            channel.unicast(node_id, tree.parent(node_id), payload, EXTERNAL_PHASE)
-            carried_bytes[node_id] = payload
-            carried_records[node_id] = records
-            finish_time[node_id] = children_finish + channel.last_send_latency_s
-
-        arrived = carried_records[BASE_STATION_ID]
-        tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-        for record in arrived:
-            for alias in fmt.aliases_of_flags(record.flags):
-                tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
-        result = evaluate_join(context.query, tuples_by_alias, apply_selections=False)
+        # Post-order is the order in which the tuples reach the base station.
+        arrived = acquire(fmt, tree.post_order())
+        finish = convergecast(
+            network.channel,
+            tree,
+            dict.fromkeys(arrived, fmt.full_tuple_bytes),
+            EXTERNAL_PHASE,
+        )
+        result = evaluate_arrived(context.query, fmt, arrived.values())
 
         # One epoch-scheduled collection pass (TAG-style level slots) plus
         # the serialisation overflow along the critical path.
-        from .. import constants
-
         phase_overhead = tree.height * constants.DEFAULT_LEVEL_SLOT_S
         return JoinOutcome(
             algorithm=self.name,
             result=result,
             stats=network.stats,
-            response_time_s=phase_overhead + finish_time[BASE_STATION_ID],
+            response_time_s=phase_overhead + finish,
             details={
                 "tuples_shipped": float(len(arrived)),
-                "bytes_shipped": float(carried_bytes[BASE_STATION_ID]),
+                "bytes_shipped": float(fmt.full_tuples_bytes(len(arrived))),
             },
         )

@@ -50,7 +50,7 @@ from ..routing.ctp import build_tree
 from ..routing.tree import RoutingTree
 from ..sim.network import Network
 from ..sim.node import BASE_STATION_ID
-from .base import ExecutionContext, FullTupleRecord, JoinOutcome, TupleFormat, node_tuple
+from .base import ExecutionContext, JoinOutcome, TupleFormat, node_tuple
 from .filterbuild import build_join_filter
 from .sensjoin import (
     PHASE_COLLECTION,
@@ -58,6 +58,7 @@ from .sensjoin import (
     SensJoin,
     SensJoinConfig,
     SensJoinRun,
+    _CarriedTuple,
     _NodeState,
 )
 
@@ -148,7 +149,7 @@ class IncrementalSensJoin:
         for points in bs_cache.child_sets.values():
             bs_points = union_points(bs_points, points)
         bs_points = union_points(
-            bs_points, self._project(run.states[BASE_STATION_ID].proxy_records)
+            bs_points, [point for _record, point in run.states[BASE_STATION_ID].proxied]
         )
 
         run.join_filter = build_join_filter(fmt, bs_points)
@@ -170,13 +171,6 @@ class IncrementalSensJoin:
         )
 
     # -- phase 1a: delta collection --------------------------------------------------
-
-    def _project(self, records: List[FullTupleRecord]) -> FrozenSet[FlaggedPoint]:
-        points: FrozenSet[FlaggedPoint] = frozenset()
-        for record in records:
-            join_values = {k: record.values[k] for k in self.fmt.join_attributes}
-            points = union_points(points, [(record.flags, self.fmt.quantizer.encode(join_values))])
-        return points
 
     def _payload_bytes(
         self, current: FrozenSet[FlaggedPoint], previous: FrozenSet[FlaggedPoint]
@@ -205,7 +199,7 @@ class IncrementalSensJoin:
         first_round = self.round_index == 0
         treecut_enabled = self.config.dmax_bytes > 0
 
-        full_up: Dict[int, List[FullTupleRecord]] = {}
+        full_up: Dict[int, List[_CarriedTuple]] = {}
         full_bytes_up: Dict[int, int] = {}
         delta_messages = 0
         unchanged_subtrees = 0
@@ -215,7 +209,7 @@ class IncrementalSensJoin:
             state = states[node_id]
             children = tree.children(node_id)
 
-            received_full: List[FullTupleRecord] = []
+            received_full: List[_CarriedTuple] = []
             received_full_bytes = 0
             all_children_full = True
             for child in children:
@@ -235,7 +229,7 @@ class IncrementalSensJoin:
             own_bytes = fmt.full_tuple_bytes if record is not None else 0
 
             if node_id == BASE_STATION_ID:
-                state.proxy_records = received_full
+                state.proxied = received_full
                 continue
 
             # Treecut membership is decided in round 0 and frozen: the byte
@@ -248,20 +242,22 @@ class IncrementalSensJoin:
                 )
             state.exited = cache.exited
             if cache.exited:
-                payload_records = received_full + ([record] if record else [])
+                own = [(record, state.own_point)] if record else []
+                payload_records = received_full + own
                 payload_bytes = fmt.full_tuples_bytes(len(payload_records))
                 channel.unicast(node_id, tree.parent(node_id), payload_bytes, PHASE_COLLECTION)
                 full_up[node_id] = payload_records
                 full_bytes_up[node_id] = payload_bytes
                 continue
 
-            state.proxy_records = received_full
+            state.proxied = received_full
             current: FrozenSet[FlaggedPoint] = frozenset()
             for points in cache.child_sets.values():
                 current = union_points(current, points)
-            current = union_points(current, self._project(received_full))
+            carried_points = [point for _record, point in received_full]
             if state.own_point is not None:
-                current = union_points(current, [state.own_point])
+                carried_points.append(state.own_point)
+            current = union_points(current, carried_points)
 
             payload_bytes, kind = self._payload_bytes(current, cache.last_sent)
             if kind == "unchanged":

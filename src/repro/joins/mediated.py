@@ -22,18 +22,19 @@ sized at 2 bytes per selected attribute per result row.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict
 
+from .. import constants
 from ..errors import ProtocolError
-from ..query.evaluate import Row, evaluate_join
 from ..routing.tree import RoutingTree
 from ..sim.node import BASE_STATION_ID
 from .base import (
     ExecutionContext,
-    FullTupleRecord,
     JoinAlgorithm,
     JoinOutcome,
-    node_tuple,
+    acquire,
+    convergecast,
+    evaluate_arrived,
 )
 
 __all__ = ["MediatedJoin"]
@@ -68,14 +69,10 @@ class MediatedJoin(JoinAlgorithm):
         fmt = context.tuple_format()
         channel = network.channel
 
-        records: Dict[int, FullTupleRecord] = {}
-        for node_id in network.sensor_node_ids:
-            record, _flags = node_tuple(fmt, node_id)
-            if record is not None:
-                records[node_id] = record
+        # Only nodes that can reach the base station take part.
+        records = acquire(fmt, context.tree.node_ids)
         if not records:
-            result = evaluate_join(context.query, {a: [] for a in fmt.aliases},
-                                   apply_selections=False)
+            result = evaluate_arrived(context.query, fmt, ())
             return JoinOutcome(self.name, result, network.stats, 0.0, {})
 
         # Mediator: contributing node nearest the contributors' centroid.
@@ -87,35 +84,25 @@ class MediatedJoin(JoinAlgorithm):
             key=lambda i: (network.nodes[i].x - cx) ** 2 + (network.nodes[i].y - cy) ** 2,
         )
 
-        # Collect every contributing tuple at the mediator.
+        # Collect every contributing tuple at the mediator, which joins.
         tree = _bfs_tree(network, mediator)
-        carried: Dict[int, int] = {}
-        for node_id in tree.post_order():
-            payload = sum(carried.pop(child) for child in tree.children(node_id))
-            if node_id in records:
-                payload += fmt.full_tuple_bytes
-            if node_id != mediator:
-                channel.unicast(node_id, tree.parent(node_id), payload, PHASE_COLLECT)
-            carried[node_id] = payload
+        convergecast(
+            channel, tree, dict.fromkeys(records, fmt.full_tuple_bytes), PHASE_COLLECT
+        )
+        result = evaluate_arrived(context.query, fmt, records.values())
 
-        # The mediator joins.
-        tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-        for record in records.values():
-            for alias in fmt.aliases_of_flags(record.flags):
-                tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
-        result = evaluate_join(context.query, tuples_by_alias, apply_selections=False)
-
-        # Ship the result rows to the base station along the min-hop path.
+        # Ship the result rows to the base station along the min-hop path,
+        # which the mediator's BFS tree already holds.
         row_bytes = len(context.query.select) * fmt.bytes_per_attribute
         result_bytes = result.row_count * row_bytes
-        path = self._hop_path(network, mediator, BASE_STATION_ID)
+        if BASE_STATION_ID not in tree:
+            raise ProtocolError(f"no path from mediator {mediator} to the base station")
+        path = tree.path_to_root(BASE_STATION_ID)[::-1]
         for sender, receiver in zip(path, path[1:]):
             channel.unicast(sender, receiver, result_bytes, PHASE_RESULT)
 
         # Two epoch-scheduled legs: collection at the mediator, then the
         # result relay to the base station.
-        from .. import constants
-
         hop = channel.hop_latency_s
         response = (tree.height + len(path)) * (constants.DEFAULT_LEVEL_SLOT_S + hop)
 
@@ -130,20 +117,3 @@ class MediatedJoin(JoinAlgorithm):
                 "mediator_to_bs_hops": float(len(path) - 1),
             },
         )
-
-    def _hop_path(self, network, source: int, target: int) -> List[int]:
-        """Shortest hop path from ``source`` to ``target``."""
-        parents: Dict[int, Optional[int]] = {source: None}
-        queue = deque([source])
-        while queue:
-            current = queue.popleft()
-            if current == target:
-                path = [current]
-                while parents[path[-1]] is not None:
-                    path.append(parents[path[-1]])
-                return list(reversed(path))
-            for neighbour in sorted(network.neighbours(current)):
-                if neighbour not in parents:
-                    parents[neighbour] = current
-                    queue.append(neighbour)
-        raise ProtocolError(f"no path from mediator {source} to the base station")

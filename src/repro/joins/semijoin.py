@@ -27,17 +27,15 @@ benchmark confirms.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
+from .. import constants
 from ..query.evaluate import Row, evaluate_join
 from ..routing.dissemination import flood_query
-from ..sim.node import BASE_STATION_ID
 from .base import (
     ExecutionContext,
-    FullTupleRecord,
     JoinAlgorithm,
     JoinOutcome,
-    node_tuple,
+    acquire,
+    convergecast,
 )
 
 __all__ = ["SemiJoinBroadcast"]
@@ -60,75 +58,58 @@ class SemiJoinBroadcast(JoinAlgorithm):
             raise ValueError("the semi-join baseline supports exactly two relations")
         channel = network.channel
 
-        # Materialise every node's tuple once.
-        records: Dict[int, FullTupleRecord] = {}
-        flags_of: Dict[int, int] = {}
-        for node_id in network.sensor_node_ids:
-            record, flags = node_tuple(fmt, node_id)
-            if record is not None:
-                records[node_id] = record
-                flags_of[node_id] = flags
+        # Materialise the tuple of every node that can reach the base station.
+        records = acquire(fmt, tree.node_ids)
 
         # Pick the filter alias: the one with fewer passing members.
         def member_count(alias: str) -> int:
             bit = fmt.alias_bit(alias)
-            return sum(1 for flags in flags_of.values() if flags & bit)
+            return sum(1 for record in records.values() if record.flags & bit)
 
         filter_alias = min(fmt.aliases, key=member_count)
         other_alias = next(a for a in fmt.aliases if a != filter_alias)
         filter_bit = fmt.alias_bit(filter_alias)
         other_bit = fmt.alias_bit(other_alias)
-
-        # Step 1: ship the filter relation's complete tuples to the root.
-        carried_bytes: Dict[int, int] = {}
-        for node_id in tree.post_order():
-            payload = sum(carried_bytes.pop(child) for child in tree.children(node_id))
-            if flags_of.get(node_id, 0) & filter_bit:
-                payload += fmt.full_tuple_bytes
-            if node_id != BASE_STATION_ID:
-                channel.unicast(node_id, tree.parent(node_id), payload, PHASE_FILTER_COLLECT)
-            carried_bytes[node_id] = payload
-
-        filter_records = [
-            record for node_id, record in records.items() if flags_of[node_id] & filter_bit
+        filter_rows = [
+            Row(r.node_id, dict(r.values)) for r in records.values() if r.flags & filter_bit
+        ]
+        candidate_rows = [
+            Row(r.node_id, dict(r.values)) for r in records.values() if r.flags & other_bit
         ]
 
+        # Step 1: ship the filter relation's complete tuples to the root.
+        convergecast(
+            channel,
+            tree,
+            dict.fromkeys((row.node_id for row in filter_rows), fmt.full_tuple_bytes),
+            PHASE_FILTER_COLLECT,
+        )
+
         # Step 2: flood the filter relation's join-attribute values.
-        filter_bytes = len(filter_records) * fmt.raw_join_tuple_bytes
+        filter_bytes = len(filter_rows) * fmt.raw_join_tuple_bytes
         flood_query(network, filter_bytes, PHASE_FILTER_FLOOD)
 
-        # Step 3: matching nodes of the other relation ship complete tuples.
+        # Step 3: every candidate checks the flooded values locally (exact
+        # values on both sides) and ships its complete tuple iff it joins.
         query = context.query
-        join_predicates = query.join_predicates
-        matching: Dict[int, FullTupleRecord] = {}
-        for node_id, record in records.items():
-            if not flags_of[node_id] & other_bit:
-                continue
-            env_other = {(other_alias, k): v for k, v in record.values.items()}
-            for partner in filter_records:
-                env = dict(env_other)
-                env.update({(filter_alias, k): v for k, v in partner.values.items()})
-                if all(pred.evaluate(env) for pred in join_predicates):
-                    matching[node_id] = record
-                    break
-        carried_bytes = {}
-        for node_id in tree.post_order():
-            payload = sum(carried_bytes.pop(child) for child in tree.children(node_id))
-            if node_id in matching:
-                payload += fmt.full_tuple_bytes
-            if node_id != BASE_STATION_ID:
-                channel.unicast(node_id, tree.parent(node_id), payload, PHASE_CANDIDATES)
-            carried_bytes[node_id] = payload
+        joining = evaluate_join(
+            query,
+            {filter_alias: filter_rows, other_alias: candidate_rows},
+            apply_selections=False,
+        ).contributing_nodes(other_alias)
+        matching = [row for row in candidate_rows if row.node_id in joining]
+        convergecast(
+            channel,
+            tree,
+            dict.fromkeys((row.node_id for row in matching), fmt.full_tuple_bytes),
+            PHASE_CANDIDATES,
+        )
 
-        tuples_by_alias: Dict[str, List[Row]] = {
-            filter_alias: [Row(r.node_id, dict(r.values)) for r in filter_records],
-            other_alias: [Row(r.node_id, dict(r.values)) for r in matching.values()],
-        }
-        result = evaluate_join(query, tuples_by_alias, apply_selections=False)
+        result = evaluate_join(
+            query, {filter_alias: filter_rows, other_alias: matching}, apply_selections=False
+        )
 
         # Response-time estimate: three sequential epoch-scheduled passes.
-        from .. import constants
-
         hop = channel.hop_latency_s
         response = 3 * tree.height * (constants.DEFAULT_LEVEL_SLOT_S + hop)
 
@@ -138,7 +119,7 @@ class SemiJoinBroadcast(JoinAlgorithm):
             stats=network.stats,
             response_time_s=response,
             details={
-                "filter_relation_tuples": float(len(filter_records)),
+                "filter_relation_tuples": float(len(filter_rows)),
                 "candidate_tuples": float(len(matching)),
             },
         )

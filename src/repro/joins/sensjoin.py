@@ -45,8 +45,7 @@ from ..codec.quadtree import FlaggedPoint
 from ..codec.setops import intersect_points, union_points
 from ..errors import ProtocolError
 from ..obs.telemetry import Telemetry
-from ..query.evaluate import JoinResult, Row, evaluate_join
-from ..query.query import JoinQuery
+from ..query.evaluate import JoinResult
 from ..routing.dissemination import PIGGYBACK_HEADER_BYTES
 from ..sim.node import BASE_STATION_ID
 from ..sim.trace import (
@@ -66,6 +65,7 @@ from .base import (
     JoinAlgorithm,
     JoinOutcome,
     TupleFormat,
+    evaluate_arrived,
     node_tuple,
 )
 from .filterbuild import build_join_filter
@@ -74,7 +74,6 @@ __all__ = [
     "SensJoin",
     "SensJoinConfig",
     "SensJoinRun",
-    "evaluate_arrived",
     "PHASE_COLLECTION",
     "PHASE_FILTER",
     "PHASE_FINAL",
@@ -114,6 +113,10 @@ class _JoinAttrPayload:
     raw_rows: List[Tuple[float, ...]] = field(default_factory=list)
 
 
+#: A complete tuple with the point its own node quantized it to.
+_CarriedTuple = Tuple[FullTupleRecord, FlaggedPoint]
+
+
 @dataclass
 class _NodeState:
     """Per-node protocol state surviving between the three wakeups."""
@@ -121,7 +124,8 @@ class _NodeState:
     record: Optional[FullTupleRecord] = None
     own_point: Optional[FlaggedPoint] = None
     exited: bool = False  # treecut: done after step 1a
-    proxy_records: List[FullTupleRecord] = field(default_factory=list)
+    #: Complete tuples stored for Treecut-exited children, with their points.
+    proxied: List[_CarriedTuple] = field(default_factory=list)
     subtree_atts: Optional[FrozenSet[FlaggedPoint]] = None
     finish_1a: float = 0.0
     filter_received: Optional[FrozenSet[FlaggedPoint]] = None
@@ -147,22 +151,6 @@ class SensJoinRun:
     join_filter: FrozenSet[FlaggedPoint] = frozenset()
     arrived: List[FullTupleRecord] = field(default_factory=list)
     finish_s: float = 0.0
-
-
-def evaluate_arrived(
-    query: JoinQuery, fmt: TupleFormat, arrived: Sequence[FullTupleRecord]
-) -> JoinResult:
-    """The exact join of ``query`` over the tuples that reached the base station.
-
-    Any query sharing ``fmt``'s aliases and flag bits can be evaluated over
-    the same arrived set.  Selections were applied at acquisition time,
-    hence ``apply_selections=False``.
-    """
-    tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
-    for record in arrived:
-        for alias in fmt.aliases_of_flags(record.flags):
-            tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
-    return evaluate_join(query, tuples_by_alias, apply_selections=False)
 
 
 class SensJoin(JoinAlgorithm):
@@ -321,7 +309,7 @@ class SensJoin(JoinAlgorithm):
         tracer, reg = tel.tracer, tel.registry
 
         # In-flight child payloads, keyed by sender.
-        full_up: Dict[int, List[FullTupleRecord]] = {}
+        full_up: Dict[int, List[_CarriedTuple]] = {}
         atts_up: Dict[int, _JoinAttrPayload] = {}
         bytes_up: Dict[int, int] = {}
         proxies = 0
@@ -334,7 +322,7 @@ class SensJoin(JoinAlgorithm):
                 (states[child].finish_1a for child in children), default=0.0
             )
 
-            received_full: List[FullTupleRecord] = []
+            received_full: List[_CarriedTuple] = []
             received_atts: FrozenSet[FlaggedPoint] = frozenset()
             received_tuple_count = 0
             received_raw: List[Tuple[float, ...]] = []
@@ -359,13 +347,15 @@ class SensJoin(JoinAlgorithm):
                 }
                 state.own_point = (flags, fmt.quantizer.encode(join_values))
 
+            # pi_JoinAttr over the proxied tuples (Fig. 2 line 22) is the
+            # points they carry.
+            carried_points = [point for _record, point in received_full]
             if node_id == BASE_STATION_ID:
                 # The base station acts like a proxy for full tuples it
                 # received and keeps its children's points as SubtreeJoinAtts.
-                state.proxy_records = received_full
+                state.proxied = received_full
                 state.subtree_atts = received_atts
-                proxy_points = self._project_records(fmt, received_full)
-                bs_points = union_points(received_atts, proxy_points)
+                bs_points = union_points(received_atts, carried_points)
                 state.finish_1a = children_finish
                 details["treecut_proxies"] = float(proxies)
                 details["treecut_exited"] = float(exited)
@@ -378,7 +368,8 @@ class SensJoin(JoinAlgorithm):
                 and total_full_bytes <= self.config.dmax_bytes
             )
             if treecut_applies:
-                records = received_full + ([state.record] if state.record else [])
+                own = [(state.record, state.own_point)] if state.record else []
+                records = received_full + own
                 payload_bytes = fmt.full_tuples_bytes(len(records))
                 channel.unicast(node_id, tree.parent(node_id), payload_bytes, PHASE_COLLECTION)
                 full_up[node_id] = records
@@ -395,7 +386,7 @@ class SensJoin(JoinAlgorithm):
                 continue
 
             # Act as proxy for complete tuples received from cut children.
-            state.proxy_records = received_full
+            state.proxied = received_full
             if received_full:
                 proxies += 1
                 if reg.enabled:
@@ -429,17 +420,16 @@ class SensJoin(JoinAlgorithm):
             else:
                 state.subtree_atts = None
 
-            proxy_points = self._project_records(fmt, received_full)
-            points = union_points(received_atts, proxy_points)
             if state.own_point is not None:
-                points = union_points(points, [state.own_point])
+                carried_points.append(state.own_point)
+            points = union_points(received_atts, carried_points)
             tuple_count = received_tuple_count + len(received_full) + (
                 1 if state.record is not None else 0
             )
             raw_rows = received_raw
             if keep_raw:
                 raw_rows = list(received_raw)
-                for record in received_full:
+                for record, _point in received_full:
                     raw_rows.append(
                         tuple(record.values[name] for name in fmt.join_attributes)
                     )
@@ -459,17 +449,6 @@ class SensJoin(JoinAlgorithm):
             )
 
         raise ProtocolError("post-order traversal never reached the base station")
-
-    def _project_records(
-        self, fmt: TupleFormat, records: List[FullTupleRecord]
-    ) -> FrozenSet[FlaggedPoint]:
-        """pi_JoinAttr over proxied complete tuples (Fig. 2 line 22)."""
-        points: FrozenSet[FlaggedPoint] = frozenset()
-        for record in records:
-            join_values = {name: record.values[name] for name in fmt.join_attributes}
-            point = (record.flags, fmt.quantizer.encode(join_values))
-            points = union_points(points, [point])
-        return points
 
     # -- step 1b -------------------------------------------------------------------
 
@@ -609,12 +588,12 @@ class SensJoin(JoinAlgorithm):
             if node_id == BASE_STATION_ID:
                 # Locally stored proxy tuples join for free; the exact final
                 # join discards the ones that do not match.
-                records.extend(state.proxy_records)
+                records.extend(record for record, _point in state.proxied)
                 carried[node_id] = records
                 finish[node_id] = children_finish
                 continue
 
-            matched = self._matching_records(fmt, state, flags_memo)
+            matched = self._matching_records(state, flags_memo)
             if matched:
                 senders += 1
                 tracer.emit(
@@ -640,7 +619,6 @@ class SensJoin(JoinAlgorithm):
 
     def _matching_records(
         self,
-        fmt: TupleFormat,
         state: _NodeState,
         flags_memo: Optional[Dict[FrozenSet[FlaggedPoint], Dict[int, int]]] = None,
     ) -> List[FullTupleRecord]:
@@ -660,9 +638,7 @@ class SensJoin(JoinAlgorithm):
             own_flags, own_z = state.own_point
             if filter_flags.get(own_z, 0) & own_flags:
                 matched.append(state.record)
-        for record in state.proxy_records:
-            join_values = {name: record.values[name] for name in fmt.join_attributes}
-            z = fmt.quantizer.encode(join_values)
-            if filter_flags.get(z, 0) & record.flags:
+        for record, (flags, z) in state.proxied:
+            if filter_flags.get(z, 0) & flags:
                 matched.append(record)
         return matched

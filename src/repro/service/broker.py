@@ -63,9 +63,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import constants
 from ..errors import BrokerError
-from ..joins.base import ExecutionContext, TupleFormat, oracle_result
+from ..joins.base import ExecutionContext, TupleFormat, evaluate_arrived, oracle_result
 from ..joins.filterbuild import build_join_filter, compose_filters
-from ..joins.sensjoin import SensJoin, SensJoinRun, evaluate_arrived
+from ..joins.sensjoin import SensJoin, SensJoinRun
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry, instrumented
 from ..obs.timeseries import MetricsSampler, WindowedAggregate
 from ..query.evaluate import JoinResult

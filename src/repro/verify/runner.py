@@ -25,7 +25,7 @@ from ..joins.base import (
     FullTupleRecord,
     JoinOutcome,
     TupleFormat,
-    node_tuple,
+    acquire,
     oracle_result,
 )
 from ..joins.des_sensjoin import DesSensJoin, RecoveryPolicy
@@ -86,16 +86,6 @@ class TrialReport:
     @property
     def first(self) -> Optional[Violation]:
         return self.violations[0] if self.violations else None
-
-
-def _capture_records(fmt: TupleFormat) -> List[FullTupleRecord]:
-    """Every alive node's tuple+flags under the current snapshot."""
-    records = []
-    for node_id in sorted(fmt.world.network.sensor_node_ids):
-        record, _flags = node_tuple(fmt, node_id)
-        if record is not None:
-            records.append(record)
-    return records
 
 
 def _outcome_fingerprint(obs: RoundObservation) -> Dict[str, object]:
@@ -161,7 +151,7 @@ def _execute_single_shot(
     # single-shot specs, so the readings are identical).
     setup.world.take_snapshot(0.0)
     fmt = TupleFormat(setup.query, setup.world)
-    records = _capture_records(fmt)
+    records = list(acquire(fmt, setup.network.sensor_node_ids).values())
     context = ExecutionContext(
         network=setup.network, tree=setup.tree, world=setup.world, query=setup.query
     )
@@ -221,7 +211,7 @@ def _execute_rounds(setup: TrialSetup) -> List[RoundObservation]:
             outcome = executor.run_round(t)
             label = outcome.algorithm
         fmt = TupleFormat(setup.query, setup.world)
-        records = _capture_records(fmt)
+        records = list(acquire(fmt, setup.network.sensor_node_ids).values())
         context = ExecutionContext(
             network=setup.network,
             tree=setup.tree,

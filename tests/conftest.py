@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.codec.quantize import Quantizer
 from repro.data.relations import SensorWorld
 from repro.query.parser import parse_query
 from repro.routing.ctp import build_tree
@@ -112,3 +113,17 @@ def tail_query():
         )
 
     return make
+
+
+@pytest.fixture()
+def encode_calls(monkeypatch):
+    """Every ``Quantizer.encode`` argument of the test, in call order."""
+    calls = []
+    encode = Quantizer.encode
+
+    def counted(self, values):
+        calls.append(values)
+        return encode(self, values)
+
+    monkeypatch.setattr(Quantizer, "encode", counted)
+    return calls

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.bench.calibrate import (
-    calibrate_threshold,
-    measure_result_fraction,
-    snapshot_rows,
-)
+from repro.bench.calibrate import calibrate_threshold, measure_result_fraction
 from repro.query.parser import parse_query
 
 
@@ -58,13 +54,3 @@ def test_calibration_returns_best_effort(small_world):
         increasing=False, tolerance=0.0, max_iterations=12,
     )
     assert 0.0 <= achieved <= 1.0
-
-
-def test_snapshot_rows_respects_selections(small_world):
-    query = parse_query(
-        "SELECT A.hum, B.hum FROM sensors A, sensors B "
-        "WHERE A.temp > 9999 AND A.temp - B.temp > 1 ONCE"
-    )
-    rows = snapshot_rows(small_world, query)
-    assert rows["A"] == []
-    assert len(rows["B"]) == len(small_world.network.sensor_node_ids)

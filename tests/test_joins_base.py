@@ -4,7 +4,7 @@ import pytest
 
 from repro.data.relations import SensorWorld
 from repro.errors import ProtocolError, QueryError
-from repro.joins.base import ExecutionContext, TupleFormat, node_tuple
+from repro.joins.base import ExecutionContext, TupleFormat, acquire, node_tuple
 from repro.query.parser import parse_query
 
 
@@ -98,6 +98,23 @@ def test_node_tuple_without_snapshot_raises(small_network, q2_style):
     fmt = TupleFormat(q2_style, world)
     with pytest.raises(ProtocolError, match="snapshot"):
         node_tuple(fmt, small_network.sensor_node_ids[0])
+
+
+def test_acquire_respects_selections(small_world):
+    query = parse_query(
+        "SELECT A.hum, B.hum FROM sensors A, sensors B "
+        "WHERE A.temp > 9999 AND A.temp - B.temp > 1 ONCE"
+    )
+    fmt = TupleFormat(query, small_world)
+    sensor_ids = small_world.network.sensor_node_ids
+    records = acquire(fmt, sensor_ids)
+    assert list(records) == sensor_ids
+    rows = {
+        alias: [r for r in records.values() if r.flags & fmt.alias_bit(alias)]
+        for alias in fmt.aliases
+    }
+    assert rows["A"] == []
+    assert len(rows["B"]) == len(sensor_ids)
 
 
 def test_encoded_points_bytes_matches_codec(fmt):

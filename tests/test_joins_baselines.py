@@ -5,10 +5,10 @@ import pytest
 from repro.data.relations import SensorWorld
 from repro.joins.external import ExternalJoin
 from repro.joins.mediated import MediatedJoin
-from repro.joins.runner import run_snapshot
+from repro.joins.runner import NetworkFailure, run_snapshot, run_with_failures
 from repro.joins.semijoin import SemiJoinBroadcast
 from repro.query.parser import parse_query
-from repro.sim.network import DeploymentConfig, deploy_clustered
+from repro.sim.network import DeploymentConfig, deploy_clustered, deploy_grid
 
 
 def test_semijoin_result_matches_external(small_network, small_world, tail_query):
@@ -75,3 +75,25 @@ def test_mediated_empty_snapshot(small_network, small_world):
     outcome = run_snapshot(small_network, small_world, query, MediatedJoin(), tree_seed=11)
     assert outcome.result.match_count == 0
     assert outcome.total_transmissions == 0
+
+
+@pytest.mark.parametrize("algorithm", ["semijoin-broadcast", "mediated-join"])
+def test_cut_off_node_does_not_join(algorithm, tail_query):
+    """A node whose neighbours crashed stays alive but cannot reach the base
+    station, so its tuple joins in no engine's result."""
+    corner = 49  # a corner of the grid row farthest from the base station
+
+    def run(name):
+        config = DeploymentConfig(
+            node_count=49, area_side_m=280.0, radio_range_m=50.0, seed=1
+        )
+        network = deploy_grid(config)
+        world = SensorWorld.homogeneous(network, seed=1, area_side_m=280.0)
+        failures = [NetworkFailure("node", n) for n in sorted(network.neighbours(corner))]
+        outcome = run_with_failures(network, world, tail_query(1.0), name, failures=failures)
+        assert network.nodes[corner].alive
+        return outcome
+
+    outcome = run(algorithm)
+    assert corner not in outcome.result.all_contributing_nodes()
+    assert outcome.result_set() == run("external-join").result_set()

@@ -124,3 +124,19 @@ def test_membership_changes_handled(make_deployment):
             network, world, once, "external-join", tree_seed=4, snapshot_time=t
         )
         assert outcome.result.signature() == reference.result.signature(), round_index
+
+
+def test_incremental_quantizes_each_tuple_once(make_deployment, encode_calls):
+    """With Treecut on, proxied tuples keep their own node's point in every
+    round: one quantization per node and round."""
+    network, world = make_deployment(120, seed=5, drift_rate=0.0001)
+    query = parse_query(
+        "SELECT A.hum, B.hum FROM sensors A, sensors B "
+        "WHERE A.temp - B.temp > 3.0 SAMPLE PERIOD 60"
+    )
+    executor = IncrementalSensJoin(network, world, query, SensJoinConfig(), tree_seed=5)
+    for round_index in range(2):
+        encode_calls.clear()
+        executor.run_round(round_index * 60.0)
+        assert len(encode_calls) == len(network.sensor_node_ids), round_index
+    assert any(cache.exited for cache in executor.caches.values())

@@ -167,7 +167,7 @@ class TestTreecut:
                 continue
             children = len(tree.children(node_id))
             assert (
-                len(state.proxy_records) * fmt.full_tuple_bytes
+                len(state.proxied) * fmt.full_tuple_bytes
                 <= dmax * max(children, 1)
             )
 
@@ -261,3 +261,15 @@ class TestFilterWave:
         assert single == 0 and broadcasts > 0
         assert double == broadcasts
         assert double_bytes == 2 * single_bytes + 2 * PIGGYBACK_HEADER_BYTES * broadcasts
+
+
+def test_sensjoin_quantizes_each_tuple_once(
+    small_network, small_world, tail_query, encode_calls
+):
+    """A proxied tuple carries the point its own node quantized it to, so
+    neither its proxy nor the final phase quantizes it again."""
+    outcome = run_snapshot(
+        small_network, small_world, tail_query(1.0), "sens-join", tree_seed=11
+    )
+    assert outcome.details["treecut_proxies"] > 0
+    assert len(encode_calls) == len(small_network.sensor_node_ids)

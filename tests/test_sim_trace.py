@@ -184,6 +184,43 @@ class TestEventKindRegistry:
         assert not tracer_params, f"functions taking a tracer: {tracer_params}"
         assert not telemetry_writes, f"channel.telemetry assigned: {telemetry_writes}"
 
+    def test_one_tuple_path(self):
+        """Grep-proof: every engine acquires and joins tuples the same way.
+
+        Under ``src/repro`` outside ``repro/query/``, only ``joins/base.py``
+        and ``joins/semijoin.py`` call ``evaluate_join``, and only
+        ``acquire`` and the per-node acquisition of ``SensJoin``,
+        ``IncrementalSensJoin`` and the DES node process call ``node_tuple``.
+        """
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        evaluate_callers = set()
+        node_tuple_callers = set()
+
+        def visit(node, path, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "evaluate_join":
+                    evaluate_callers.add(path)
+                elif name == "node_tuple":
+                    node_tuple_callers.add((path, function))
+            for child in ast.iter_child_nodes(node):
+                visit(child, path, function)
+
+        for file in sorted(src.rglob("*.py")):
+            path = file.relative_to(src)
+            if path.parts[0] != "query":
+                visit(ast.parse(file.read_text()), path.as_posix(), None)
+        assert evaluate_callers == {"joins/base.py", "joins/semijoin.py"}
+        assert node_tuple_callers == {
+            ("joins/base.py", "acquire"),
+            ("joins/sensjoin.py", "_collection_phase"),
+            ("joins/incremental.py", "_collection_phase"),
+            ("joins/des_sensjoin.py", "sensor_process"),
+        }
+
     def test_traced_run_emits_only_registered_kinds(
         self, small_network, small_world, tail_query
     ):

@@ -12,9 +12,10 @@ Two studies on one deployment:
 """
 
 from repro.data.relations import SensorWorld
-from repro.joins.runner import NetworkFailure, run_snapshot, run_with_failures
+from repro.joins.runner import run_snapshot, run_with_failures
 from repro.query.parser import parse_query
 from repro.routing.ctp import build_tree
+from repro.sim.faults import NODE_CRASH, Fault
 from repro.sim.network import DeploymentConfig, deploy_uniform
 
 QUERY = """
@@ -69,7 +70,7 @@ def failure_study() -> None:
 
     outcome = run_with_failures(
         network, world, query, "sens-join",
-        failures=[NetworkFailure("node", victim, attempt=0)],
+        faults=[Fault(time_s=0.5, kind=NODE_CRASH, node_a=victim)],
     )
     print(
         f"query completed after {int(outcome.details['retries'])} aborted "

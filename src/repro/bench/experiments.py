@@ -1201,9 +1201,10 @@ def failure_study(
       the stall at the base station, repairs the tree mid-query, backs off
       and re-executes on the same kernel timeline;
     * ``sens-join`` / ``external-join`` — the abstract model of
-      :func:`~repro.joins.runner.run_with_failures`: the whole batch of
-      crashes voids the first attempt (charged in full), then the repaired
-      tree re-executes.
+      :func:`~repro.joins.runner.run_with_failures` replaying the same plan:
+      every crash falls in the first attempt's one-second slot, so the whole
+      batch voids that attempt (charged in full), then the repaired tree
+      re-executes.
 
     Faults mutate the topology, so every row runs on a *fresh* deployment
     (the shared cached scenario is used read-only, for calibration).
@@ -1211,7 +1212,7 @@ def failure_study(
     from ..data.relations import SensorWorld
     from ..joins.base import ExecutionContext, oracle_result
     from ..joins.des_sensjoin import DesSensJoin, RecoveryPolicy
-    from ..joins.runner import NetworkFailure, run_snapshot, run_with_failures
+    from ..joins.runner import run_snapshot, run_with_failures
     from ..routing.ctp import build_tree
     from ..sim.faults import random_crash_plan
 
@@ -1266,17 +1267,15 @@ def failure_study(
             int(outcome.details.get("aborted_tx_packets", 0)),
             round(outcome.details.get("aborted_energy", 0.0), 1),
         )
-        victims = plan.crashed_nodes
         for algorithm in ("sens-join", "external-join"):
             network, world, tree = fresh_deployment()
             world.take_snapshot(0.0)
             oracle = oracle_result(
                 ExecutionContext(network=network, tree=tree, world=world, query=query)
             )
-            failures = [NetworkFailure("node", victim) for victim in victims]
             outcome = run_with_failures(
                 network, world, query, algorithm,
-                failures=failures, max_retries=max_retries, tree_seed=seed,
+                faults=plan, max_retries=max_retries, tree_seed=seed,
             )
             recall = (
                 outcome.result.match_count / oracle.match_count

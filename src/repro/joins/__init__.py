@@ -18,7 +18,6 @@ from .mediated import MediatedJoin
 from .placement import PlacementReport, analyze_join_location
 from .planner import CostEstimate, estimate_costs, recommend_algorithm
 from .runner import (
-    NetworkFailure,
     make_algorithm,
     run_continuous,
     run_snapshot,
@@ -44,7 +43,6 @@ __all__ = [
     "JoinOutcome",
     "MediatedJoin",
     "PlacementReport",
-    "NetworkFailure",
     "PHASE_COLLECTION",
     "PHASE_FILTER",
     "PHASE_FINAL",

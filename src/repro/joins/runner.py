@@ -14,15 +14,14 @@ The runner ties the substrates together the way the modelled system does
 Error tolerance (§IV-F): "If a link goes down during the execution of a
 query, we rely upon the tree protocol to re-establish the routing structure.
 Afterwards, we simply re-execute the query."  :func:`run_with_failures`
-models exactly that: scheduled failures abort the in-flight execution, the
+models exactly that: scheduled faults abort the in-flight execution, the
 tree repairs over the surviving topology (orphaned nodes drop out), and the
 query re-executes from a fresh snapshot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Union
 
 from ..data.relations import SensorWorld
 from ..errors import ExecutionAborted
@@ -31,6 +30,7 @@ from ..query.query import JoinQuery, SamplePeriod
 from ..routing.ctp import build_tree, repair_tree
 from ..routing.dissemination import flood_query
 from ..routing.tree import RoutingTree
+from ..sim.faults import LOSS_BURST, Fault, apply_fault
 from ..sim.network import Network
 from .base import ExecutionContext, JoinAlgorithm, JoinOutcome
 from .des_sensjoin import DesSensJoin
@@ -43,7 +43,6 @@ __all__ = [
     "run_snapshot",
     "run_continuous",
     "run_with_failures",
-    "NetworkFailure",
     "make_algorithm",
     "list_engines",
     "snapshot_engine_names",
@@ -185,55 +184,28 @@ def run_continuous(
     return outcomes
 
 
-@dataclass(frozen=True)
-class NetworkFailure:
-    """A scheduled topology change for the §IV-F recovery experiments.
-
-    ``kind`` is ``"node"`` (node dies) or ``"link"`` (link goes down);
-    ``node_a``/``node_b`` identify the target.  The failure strikes during
-    the given execution ``attempt`` (0 = the first), aborting it.
-    """
-
-    kind: str
-    node_a: int
-    node_b: int = -1
-    attempt: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("node", "link"):
-            raise ValueError(
-                f"unknown failure kind {self.kind!r}; known: node, link"
-            )
-        if self.kind == "link" and self.node_b < 0:
-            raise ValueError(
-                "kind='link' needs an explicit node_b (got the default -1)"
-            )
-        if self.attempt < 0:
-            raise ValueError(f"negative attempt index: {self.attempt}")
-
-    def apply(self, network: Network) -> None:
-        """Mutate the network topology."""
-        if self.kind == "node":
-            network.fail_node(self.node_a)
-        else:
-            network.fail_link(self.node_a, self.node_b)
-
-
 def run_with_failures(
     network: Network,
     world: SensorWorld,
     query: JoinQuery,
     algorithm: Union[str, JoinAlgorithm] = "sens-join",
-    failures: Sequence[NetworkFailure] = (),
+    faults: Iterable[Fault] = (),
     max_retries: int = 5,
     tree_seed: int = 0,
 ) -> JoinOutcome:
     """Execute with §IV-F semantics: abort on failure, repair, re-execute.
 
-    Returns the outcome of the first execution that completes without a
-    scheduled failure; its ``details["retries"]`` records how many attempts
-    were aborted.  Raises :class:`~repro.errors.ExecutionAborted` if failures
-    outlast ``max_retries``.
+    Attempt ``k`` snapshots at simulated time ``k``, so a fault with
+    ``k <= time_s < k + 1`` strikes attempt ``k``; a
+    :class:`~repro.sim.faults.FaultPlan` iterates as its faults.  Each
+    fault reaches the topology through :func:`~repro.sim.faults.apply_fault`.
+    A ``loss-burst`` changes the channel for a while, which whole attempts
+    cannot express, and raises :class:`ValueError`.
+
+    Returns the outcome of the first execution that no fault strikes; its
+    ``details["retries"]`` records how many attempts were aborted.  Raises
+    :class:`~repro.errors.ExecutionAborted` if faults outlast
+    ``max_retries``.
 
     Aborted attempts are not free: each one executes and spends its full
     transmission/energy budget before the failure voids it (a conservative
@@ -243,14 +215,20 @@ def run_with_failures(
     outcome; ``details["aborted_tx_packets"]`` / ``details["aborted_energy"]``
     break out the share spent on attempts that delivered nothing.
     """
+    pending = list(faults)
+    for fault in pending:
+        if fault.kind == LOSS_BURST:
+            raise ValueError(
+                "loss bursts need the DES engine's in-flight ARQ; "
+                "run_with_failures applies topology faults only"
+            )
     algo = make_algorithm(algorithm)
     tree = build_tree(network, seed=tree_seed)
-    pending = list(failures)
     network.reset_accounting()
     aborted_tx = 0
     aborted_energy = 0.0
     for attempt in range(max_retries + 1):
-        struck = [f for f in pending if f.attempt == attempt]
+        struck = [f for f in pending if attempt <= f.time_s < attempt + 1]
         if struck:
             # The failure hits mid-execution: the attempt's cost is spent,
             # but nothing usable reaches the base station.  CTP repairs the
@@ -263,9 +241,9 @@ def run_with_failures(
             )
             aborted_tx += network.stats.total_tx_packets() - tx_before
             aborted_energy += network.total_energy() - energy_before
-            for failure in struck:
-                failure.apply(network)
-                pending.remove(failure)
+            for fault in struck:
+                apply_fault(network, fault)
+                pending.remove(fault)
             report = repair_tree(network, tree, seed=tree_seed)
             tree = report.tree
             continue
@@ -279,5 +257,5 @@ def run_with_failures(
         return outcome
     raise ExecutionAborted(
         f"query did not complete within {max_retries} retries; "
-        f"{len(pending)} failure(s) still pending"
+        f"{len(pending)} fault(s) still pending"
     )

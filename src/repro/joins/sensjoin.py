@@ -170,16 +170,18 @@ class SensJoin(JoinAlgorithm):
     # -- payload sizing under the configured representation ---------------------
 
     def _joinatts_bytes(
-        self, fmt: TupleFormat, payload: _JoinAttrPayload, tel: Telemetry
+        self, sender: int, fmt: TupleFormat, payload: _JoinAttrPayload, tel: Telemetry
     ) -> int:
         if not tel.enabled:
-            return self._joinatts_bytes_raw(fmt, payload)
+            return self._joinatts_bytes_raw(sender, fmt, payload)
         t0 = time.perf_counter()
-        size = self._joinatts_bytes_raw(fmt, payload)
+        size = self._joinatts_bytes_raw(sender, fmt, payload)
         self._observe_codec(tel, "join-atts", size, time.perf_counter() - t0)
         return size
 
-    def _joinatts_bytes_raw(self, fmt: TupleFormat, payload: _JoinAttrPayload) -> int:
+    def _joinatts_bytes_raw(
+        self, sender: int, fmt: TupleFormat, payload: _JoinAttrPayload
+    ) -> int:
         representation = self.config.representation
         if representation == "quadtree":
             return fmt.encoded_points_bytes(payload.points)
@@ -438,7 +440,7 @@ class SensJoin(JoinAlgorithm):
                         tuple(state.record.values[name] for name in fmt.join_attributes)
                     )
             payload = _JoinAttrPayload(points, tuple_count, raw_rows)
-            payload_bytes = self._joinatts_bytes(fmt, payload, tel)
+            payload_bytes = self._joinatts_bytes(node_id, fmt, payload, tel)
             channel.unicast(node_id, tree.parent(node_id), payload_bytes, PHASE_COLLECTION)
             atts_up[node_id] = payload
             bytes_up[node_id] = payload_bytes

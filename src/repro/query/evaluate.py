@@ -47,10 +47,6 @@ class Row:
     node_id: int
     values: Mapping[str, float]
 
-    def project(self, attributes: Sequence[str]) -> "Row":
-        """A copy restricted to the given attributes."""
-        return Row(self.node_id, {name: self.values[name] for name in attributes})
-
 
 class JoinResult:
     """Outcome of an exact join evaluation.

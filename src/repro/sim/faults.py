@@ -34,7 +34,9 @@ replays the plan as a kernel process sharing the engine's
 :class:`~repro.sim.kernel.Environment`.  Every fault goes through
 :func:`apply_fault` onto the topology and :func:`record_fault` into the
 run's telemetry (one :data:`~repro.sim.trace.FAULT_INJECT` trace event per
-applied fault); the broker's churn replay uses the same pair.
+applied fault); the broker's churn replay uses the same pair, and
+:func:`~repro.joins.runner.run_with_failures` applies a plan's faults
+between its abstract attempts through :func:`apply_fault`.
 
 :class:`RetryPolicy` is the re-execution half of §IV-F: a retry bound and an
 exponential backoff, shared by the DES engine's recovery loop and the

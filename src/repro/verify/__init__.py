@@ -18,7 +18,7 @@ from .generators import (
     generate_fault_plan,
     plan_trials,
 )
-from .invariants import INVARIANTS, Invariant, Violation, all_violations, first_violation
+from .invariants import INVARIANTS, Invariant, Violation, all_violations
 from .runner import RoundObservation, TrialExecution, TrialReport, execute_trial, run_trial
 from .shrink import ShrinkResult, shrink
 
@@ -40,7 +40,6 @@ __all__ = [
     "all_violations",
     "build_trial",
     "execute_trial",
-    "first_violation",
     "fuzz",
     "generate_fault_plan",
     "plan_trials",

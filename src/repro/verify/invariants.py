@@ -45,7 +45,7 @@ from ..obs import reconcile
 from ..query.evaluate import conservative_semijoin
 from .generators import random_coordinates, random_flagged_points, random_values
 
-__all__ = ["Invariant", "INVARIANTS", "first_violation", "all_violations"]
+__all__ = ["Invariant", "INVARIANTS", "all_violations"]
 
 
 @dataclass(frozen=True)
@@ -373,12 +373,3 @@ def all_violations(execution) -> List[Violation]:
         if message is not None:
             found.append(Violation(invariant.name, message))
     return found
-
-
-def first_violation(execution) -> Optional[Violation]:
-    """The catalogue-first violation (what the shrinker minimises against)."""
-    for invariant in INVARIANTS.values():
-        message = invariant.check(execution)
-        if message is not None:
-            return Violation(invariant.name, message)
-    return None

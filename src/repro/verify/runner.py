@@ -21,12 +21,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..joins.adaptive import AdaptiveJoin
 from ..joins.base import (
-    ExecutionContext,
     FullTupleRecord,
     JoinOutcome,
     TupleFormat,
     acquire,
-    oracle_result,
+    evaluate_arrived,
 )
 from ..joins.des_sensjoin import DesSensJoin, RecoveryPolicy
 from ..joins.incremental import IncrementalSensJoin
@@ -152,10 +151,7 @@ def _execute_single_shot(
     setup.world.take_snapshot(0.0)
     fmt = TupleFormat(setup.query, setup.world)
     records = list(acquire(fmt, setup.network.sensor_node_ids).values())
-    context = ExecutionContext(
-        network=setup.network, tree=setup.tree, world=setup.world, query=setup.query
-    )
-    oracle = oracle_result(context)
+    oracle = evaluate_arrived(setup.query, fmt, records)
     telemetry = Telemetry.capture()
     outcome = run_snapshot(
         setup.network,
@@ -212,18 +208,12 @@ def _execute_rounds(setup: TrialSetup) -> List[RoundObservation]:
             label = outcome.algorithm
         fmt = TupleFormat(setup.query, setup.world)
         records = list(acquire(fmt, setup.network.sensor_node_ids).values())
-        context = ExecutionContext(
-            network=setup.network,
-            tree=setup.tree,
-            world=setup.world,
-            query=setup.query,
-        )
         rounds.append(
             RoundObservation(
                 round_index=index,
                 engine_label=label,
                 outcome=outcome,
-                oracle=oracle_result(context),
+                oracle=evaluate_arrived(setup.query, fmt, records),
                 records=records,
                 tuple_format=fmt,
             )

@@ -5,9 +5,10 @@ import pytest
 from repro.data.relations import SensorWorld
 from repro.joins.external import ExternalJoin
 from repro.joins.mediated import MediatedJoin
-from repro.joins.runner import NetworkFailure, run_snapshot, run_with_failures
+from repro.joins.runner import run_snapshot, run_with_failures
 from repro.joins.semijoin import SemiJoinBroadcast
 from repro.query.parser import parse_query
+from repro.sim.faults import NODE_CRASH, Fault
 from repro.sim.network import DeploymentConfig, deploy_clustered, deploy_grid
 
 
@@ -89,8 +90,11 @@ def test_cut_off_node_does_not_join(algorithm, tail_query):
         )
         network = deploy_grid(config)
         world = SensorWorld.homogeneous(network, seed=1, area_side_m=280.0)
-        failures = [NetworkFailure("node", n) for n in sorted(network.neighbours(corner))]
-        outcome = run_with_failures(network, world, tail_query(1.0), name, failures=failures)
+        faults = [
+            Fault(time_s=0.0, kind=NODE_CRASH, node_a=n)
+            for n in sorted(network.neighbours(corner))
+        ]
+        outcome = run_with_failures(network, world, tail_query(1.0), name, faults=faults)
         assert network.nodes[corner].alive
         return outcome
 

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro import constants
 from repro.joins.incremental import IncrementalSensJoin
 from repro.joins.runner import run_snapshot
-from repro.joins.sensjoin import SensJoinConfig
+from repro.joins.sensjoin import PHASE_COLLECTION, SensJoinConfig
+from repro.obs.telemetry import Telemetry, instrumented
 from repro.query.parser import parse_query
 from repro.query.query import JoinQuery, Once
+from repro.sim.trace import SPAN_END, TREECUT_EXIT
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +86,8 @@ def test_treecut_disabled_by_default(setup):
     network, world, query = setup
     executor = IncrementalSensJoin(network, world, query, tree_seed=17)
     assert executor.config.dmax_bytes == 0
-    executor.run_round(0.0)
-    assert not any(cache.exited for cache in executor.caches.values())
+    outcome = executor.run_round(0.0)
+    assert outcome.details["treecut_exited"] == 0
 
 
 def test_explicit_treecut_still_exact(setup):
@@ -95,7 +98,7 @@ def test_explicit_treecut_still_exact(setup):
     outcome = executor.run_round(0.0)
     reference = snapshot_reference(network, world, query, "external-join", 0.0)
     assert outcome.result.signature() == reference.result.signature()
-    assert any(cache.exited for cache in executor.caches.values())
+    assert outcome.details["treecut_exited"] > 0
 
 
 def test_non_quadtree_representation_rejected(setup):
@@ -137,6 +140,40 @@ def test_incremental_quantizes_each_tuple_once(make_deployment, encode_calls):
     executor = IncrementalSensJoin(network, world, query, SensJoinConfig(), tree_seed=5)
     for round_index in range(2):
         encode_calls.clear()
-        executor.run_round(round_index * 60.0)
+        outcome = executor.run_round(round_index * 60.0)
         assert len(encode_calls) == len(network.sensor_node_ids), round_index
-    assert any(cache.exited for cache in executor.caches.values())
+    assert outcome.details["treecut_exited"] > 0
+
+
+def test_treecut_rule_holds_in_every_round(make_deployment):
+    """With Treecut on and selections moving nodes in and out of the
+    relations, every round decides its Treecut regions by Fig. 2's D_max
+    rule inside SENS-Join's own collection phase, traced under the
+    executor's protocol label, and stays exact."""
+    network, world = make_deployment(200, seed=5, drift_rate=0.005)
+    query = parse_query(
+        "SELECT A.hum, B.hum FROM sensors A, sensors B "
+        "WHERE A.temp > 22.0 AND B.temp < 21.0 AND A.temp - B.temp > 2.0 "
+        "SAMPLE PERIOD 60"
+    )
+    once = JoinQuery(query.select, query.relations, query.where, Once())
+    executor = IncrementalSensJoin(network, world, query, config=SensJoinConfig(), tree_seed=5)
+    exits = []
+    for round_index in range(4):
+        t = round_index * 600.0
+        telemetry = Telemetry.capture()
+        with instrumented(network, telemetry):
+            outcome = executor.run_round(t)
+        exits += telemetry.tracer.filter(kind=TREECUT_EXIT)
+        collection_spans = [
+            event for event in telemetry.tracer.filter(kind=SPAN_END)
+            if event.detail["span"] == PHASE_COLLECTION
+        ]
+        assert len(collection_spans) == 1, round_index
+        assert collection_spans[0].detail["protocol"] == "sens-join[incremental]"
+        reference = run_snapshot(
+            network, world, once, "external-join", tree_seed=5, snapshot_time=t
+        )
+        assert outcome.result.signature() == reference.result.signature(), round_index
+    assert exits
+    assert max(event.detail["bytes"] for event in exits) <= constants.DEFAULT_TREECUT_DMAX_BYTES

@@ -5,7 +5,6 @@ import pytest
 from repro.data.relations import SensorWorld
 from repro.errors import ExecutionAborted
 from repro.joins.runner import (
-    NetworkFailure,
     list_engines,
     make_algorithm,
     run_continuous,
@@ -15,6 +14,7 @@ from repro.joins.runner import (
 )
 from repro.query.parser import parse_query
 from repro.routing.dissemination import QUERY_DISSEMINATION_PHASE
+from repro.sim.faults import LINK_DROP, LOSS_BURST, NODE_CRASH, Fault
 from repro.sim.network import DeploymentConfig, deploy_uniform
 
 
@@ -126,9 +126,9 @@ class TestFailureRecovery:
 
     def test_node_failure_triggers_reexecution(self, fresh_network, fresh_world, tail_query):
         victim = fresh_network.sensor_node_ids[10]
-        failures = [NetworkFailure("node", victim, attempt=0)]
+        faults = [Fault(time_s=0.0, kind=NODE_CRASH, node_a=victim)]
         outcome = run_with_failures(
-            fresh_network, fresh_world, tail_query(1.0), failures=failures
+            fresh_network, fresh_world, tail_query(1.0), faults=faults
         )
         assert outcome.details["retries"] == 1.0
         # The dead node contributes nothing.
@@ -137,18 +137,18 @@ class TestFailureRecovery:
     def test_link_failure_triggers_reexecution(self, fresh_network, fresh_world, tail_query):
         node = fresh_network.sensor_node_ids[0]
         neighbour = sorted(fresh_network.neighbours(node))[0]
-        failures = [NetworkFailure("link", node, neighbour, attempt=0)]
+        faults = [Fault(time_s=0.0, kind=LINK_DROP, node_a=node, node_b=neighbour)]
         outcome = run_with_failures(
-            fresh_network, fresh_world, tail_query(1.0), failures=failures
+            fresh_network, fresh_world, tail_query(1.0), faults=faults
         )
         assert outcome.details["retries"] == 1.0
 
     def test_result_still_exact_after_recovery(self, fresh_network, fresh_world, tail_query):
         victim = fresh_network.sensor_node_ids[5]
-        failures = [NetworkFailure("node", victim, attempt=0)]
+        faults = [Fault(time_s=0.0, kind=NODE_CRASH, node_a=victim)]
         query = tail_query(1.0)
         sens = run_with_failures(
-            fresh_network, fresh_world, query, "sens-join", failures=failures
+            fresh_network, fresh_world, query, "sens-join", faults=faults
         )
         external = run_snapshot(
             fresh_network, fresh_world, query, "external-join",
@@ -157,35 +157,42 @@ class TestFailureRecovery:
         assert sens.result.signature() == external.result.signature()
 
     def test_failures_exhaust_retries(self, fresh_network, fresh_world, tail_query):
-        failures = [
-            NetworkFailure("node", fresh_network.sensor_node_ids[i], attempt=i)
+        faults = [
+            Fault(time_s=float(i), kind=NODE_CRASH, node_a=fresh_network.sensor_node_ids[i])
             for i in range(3)
         ]
         with pytest.raises(ExecutionAborted):
             run_with_failures(
                 fresh_network, fresh_world, tail_query(1.0),
-                failures=failures, max_retries=1,
+                faults=faults, max_retries=1,
             )
 
-    def test_unknown_failure_kind(self):
-        with pytest.raises(ValueError):
-            NetworkFailure("meteor", 1).apply(None)
+    def test_faults_strike_the_attempt_of_their_time_slot(
+        self, fresh_network, fresh_world, tail_query
+    ):
+        # Attempt k runs at simulated time k: the crash at 0.2 s aborts
+        # attempt 0, the one at 1.5 s attempt 1, and attempt 2 completes.
+        faults = [
+            Fault(time_s=0.2, kind=NODE_CRASH, node_a=fresh_network.sensor_node_ids[3]),
+            Fault(time_s=1.5, kind=NODE_CRASH, node_a=fresh_network.sensor_node_ids[7]),
+        ]
+        outcome = run_with_failures(
+            fresh_network, fresh_world, tail_query(1.0), faults=faults
+        )
+        assert outcome.details["retries"] == 2.0
 
-    def test_failures_validated_at_construction(self):
-        with pytest.raises(ValueError, match="unknown failure kind"):
-            NetworkFailure("meteor", 1)
-        # A link failure with the default node_b would silently target
-        # nothing; it must be rejected before it ever reaches a network.
-        with pytest.raises(ValueError, match="node_b"):
-            NetworkFailure("link", 1)
-        with pytest.raises(ValueError, match="attempt"):
-            NetworkFailure("node", 1, attempt=-1)
+    def test_loss_burst_rejected(self, fresh_network, fresh_world, tail_query):
+        burst = Fault(time_s=0.0, kind=LOSS_BURST, duration_s=0.5, loss_rate=0.3)
+        with pytest.raises(ValueError, match="loss bursts"):
+            run_with_failures(
+                fresh_network, fresh_world, tail_query(1.0), faults=[burst]
+            )
 
     def test_aborted_attempt_cost_is_charged(self, fresh_network, fresh_world, tail_query):
         victim = fresh_network.sensor_node_ids[10]
-        failures = [NetworkFailure("node", victim, attempt=0)]
+        faults = [Fault(time_s=0.0, kind=NODE_CRASH, node_a=victim)]
         outcome = run_with_failures(
-            fresh_network, fresh_world, tail_query(1.0), failures=failures
+            fresh_network, fresh_world, tail_query(1.0), faults=faults
         )
         # The aborted attempt ran to completion before the failure voided
         # it, so its full cost appears in the details and in the ledgers.

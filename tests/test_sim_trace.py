@@ -189,8 +189,8 @@ class TestEventKindRegistry:
 
         Under ``src/repro`` outside ``repro/query/``, only ``joins/base.py``
         and ``joins/semijoin.py`` call ``evaluate_join``, and only
-        ``acquire`` and the per-node acquisition of ``SensJoin``,
-        ``IncrementalSensJoin`` and the DES node process call ``node_tuple``.
+        ``acquire`` and the per-node acquisition of ``SensJoin`` and the DES
+        node process call ``node_tuple``.
         """
         src = Path(__file__).resolve().parent.parent / "src" / "repro"
         evaluate_callers = set()
@@ -217,9 +217,33 @@ class TestEventKindRegistry:
         assert node_tuple_callers == {
             ("joins/base.py", "acquire"),
             ("joins/sensjoin.py", "_collection_phase"),
-            ("joins/incremental.py", "_collection_phase"),
             ("joins/des_sensjoin.py", "sensor_process"),
         }
+
+    def test_one_fault_applier(self):
+        """Grep-proof: every recovery model changes the topology the same way.
+
+        Under ``src/repro`` outside ``sim/network.py``, only
+        ``sim/faults.py::apply_fault`` calls ``fail_node``, ``fail_link``,
+        ``revive_node`` or ``move_node``.
+        """
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        mutators = {"fail_node", "fail_link", "revive_node", "move_node"}
+        callers = set()
+
+        def visit(node, path, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in mutators:
+                callers.add((path, function))
+            for child in ast.iter_child_nodes(node):
+                visit(child, path, function)
+
+        for file in sorted(src.rglob("*.py")):
+            path = file.relative_to(src).as_posix()
+            if path != "sim/network.py":
+                visit(ast.parse(file.read_text()), path, None)
+        assert callers == {("sim/faults.py", "apply_fault")}
 
     def test_traced_run_emits_only_registered_kinds(
         self, small_network, small_world, tail_query

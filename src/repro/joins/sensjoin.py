@@ -128,7 +128,7 @@ class _NodeState:
     proxied: List[_CarriedTuple] = field(default_factory=list)
     subtree_atts: Optional[FrozenSet[FlaggedPoint]] = None
     finish_1a: float = 0.0
-    filter_received: Optional[FrozenSet[FlaggedPoint]] = None
+    filter_received: FrozenSet[FlaggedPoint] = frozenset()
     filter_arrival: float = 0.0
 
 
@@ -209,6 +209,39 @@ class SensJoin(JoinAlgorithm):
         # Non-quadtree representations ship the filter as raw (quantized
         # representative) tuples; compression never pays off at filter sizes.
         return len(points) * fmt.raw_join_tuple_bytes
+
+    # -- per-node protocol decisions -----------------------------------------------
+
+    def _subtree_atts(
+        self, node_id: int, fmt: TupleFormat, atts: FrozenSet[FlaggedPoint], tel: Telemetry,
+        at_s: float,
+    ) -> Optional[FrozenSet[FlaggedPoint]]:
+        """Selective Filter Forwarding memory (Fig. 2 line 21): the children's
+        points ``atts`` as ``node_id`` keeps them, or ``None`` to keep none."""
+        limit = self.config.subtree_limit_bytes
+        if limit == 0:
+            return None
+        if node_id == BASE_STATION_ID or not atts:
+            return atts  # no cap at the base station; an empty set costs nothing
+        stored_size = fmt.encoded_points_bytes(atts)
+        if stored_size <= limit:
+            tel.tracer.emit(at_s, node_id, SUBTREE_STORE, bytes=stored_size)
+            return atts
+        # Memory cap exceeded (paper: happens "close to the root only"); this
+        # node cannot prune the filter.
+        if tel.registry.enabled:
+            tel.registry.counter("subtree_overflows_total", protocol=self.name).inc()
+        tel.tracer.emit(at_s, node_id, SUBTREE_OVERFLOW, bytes=stored_size)
+        return None
+
+    def _filter_frame(
+        self, node_id: int, fmt: TupleFormat, points: FrozenSet[FlaggedPoint], tel: Telemetry
+    ) -> Optional[int]:
+        """Bytes of the frame carrying the pruned filter ``points`` to the
+        children of ``node_id``; ``None`` (silence) for an empty one."""
+        if not points:
+            return None
+        return self._filter_bytes(fmt, points, tel)
 
     def _observe_codec(self, tel: Telemetry, kind: str, size: int, wall_s: float) -> None:
         """Feed one encode into the codec histograms (telemetry enabled only)."""
@@ -356,7 +389,9 @@ class SensJoin(JoinAlgorithm):
                 # The base station acts like a proxy for full tuples it
                 # received and keeps its children's points as SubtreeJoinAtts.
                 state.proxied = received_full
-                state.subtree_atts = received_atts
+                state.subtree_atts = self._subtree_atts(
+                    node_id, fmt, received_atts, tel, children_finish
+                )
                 bs_points = union_points(received_atts, carried_points)
                 state.finish_1a = children_finish
                 details["treecut_proxies"] = float(proxies)
@@ -399,28 +434,9 @@ class SensJoin(JoinAlgorithm):
                 tracer.emit(
                     children_finish, node_id, PROXY_STORE, tuples=len(received_full)
                 )
-            # Selective Filter Forwarding memory (Fig. 2 line 21): keep the
-            # children's join-attribute points, if they fit the budget.
-            if received_atts and self.config.subtree_limit_bytes > 0:
-                stored_size = fmt.encoded_points_bytes(received_atts)
-                if stored_size <= self.config.subtree_limit_bytes:
-                    state.subtree_atts = received_atts
-                    tracer.emit(
-                        children_finish, node_id, SUBTREE_STORE, bytes=stored_size
-                    )
-                else:
-                    # Memory cap exceeded (paper: happens "close to the root
-                    # only"); this node cannot prune the filter.
-                    state.subtree_atts = None
-                    if reg.enabled:
-                        reg.counter("subtree_overflows_total", protocol=self.name).inc()
-                    tracer.emit(
-                        children_finish, node_id, SUBTREE_OVERFLOW, bytes=stored_size
-                    )
-            elif self.config.subtree_limit_bytes > 0:
-                state.subtree_atts = received_atts  # empty set, costs nothing
-            else:
-                state.subtree_atts = None
+            state.subtree_atts = self._subtree_atts(
+                node_id, fmt, received_atts, tel, children_finish
+            )
 
             if state.own_point is not None:
                 carried_points.append(state.own_point)
@@ -459,18 +475,18 @@ class SensJoin(JoinAlgorithm):
     ) -> Tuple[float, int]:
         """Pre-order dissemination with Selective Filter Forwarding.
 
-        Every run prunes its own filter against its own SubtreeJoinAtts.  At
-        each node the filters that survive ride one broadcast to the union
-        of their runs' awake children; when more than one rides, each is
-        framed by a ``PIGGYBACK_HEADER_BYTES`` header, so a lone filter costs
-        exactly its own bytes.  Returns the time the wave dies out (the
-        latest arrival at any node that heard it) — the phase-span boundary
-        — and how many broadcasts carried more than one filter.
+        Every run prunes its own filter against its own SubtreeJoinAtts, and
+        :meth:`_filter_frame` prices it.  At each node the framed filters
+        ride one broadcast to the union of their runs' awake children; when
+        more than one rides, each is framed by a ``PIGGYBACK_HEADER_BYTES``
+        header, so a lone filter costs exactly its own frame.  Returns the
+        time the wave dies out (the latest arrival at any node that heard
+        it) — the phase-span boundary — and how many broadcasts carried more
+        than one filter.
         """
         context = runs[0].context
         tree = context.tree
         channel = context.network.channel
-        pruning_enabled = self.config.subtree_limit_bytes > 0
         tel = channel.telemetry
         tracer, reg = tel.tracer, tel.registry
 
@@ -491,40 +507,41 @@ class SensJoin(JoinAlgorithm):
 
         for node_id in tree.pre_order():
             children = tree.children(node_id)
+            if not children:
+                continue
             riding = []
             for index, run in enumerate(runs):
                 states = run.states
                 state = states[node_id]
                 if state.exited:
                     continue
-                incoming = state.filter_received
-                if incoming is None or not incoming:
+                awake = [child for child in children if not states[child].exited]
+                if not awake:
                     continue
-                awake_children = [child for child in children if not states[child].exited]
-                if not awake_children:
-                    continue
-                if pruning_enabled and state.subtree_atts is not None:
+                subtree_filter = incoming = state.filter_received
+                if incoming and state.subtree_atts is not None:
                     memo_key = (incoming, state.subtree_atts)
                     subtree_filter = intersect_memo.get(memo_key)
                     if subtree_filter is None:
                         subtree_filter = intersect_points(incoming, state.subtree_atts)
                         intersect_memo[memo_key] = subtree_filter
-                else:
-                    # Memory cap exceeded (or pruning disabled): forward as is.
-                    subtree_filter = incoming
-                if not subtree_filter:
-                    pruned_subtrees[index] += 1
-                    if reg.enabled:
-                        reg.counter("filter_pruned_subtrees_total", protocol=self.name).inc()
-                    tracer.emit(state.filter_arrival, node_id, FILTER_PRUNED)
-                    continue
-                riding.append((index, subtree_filter, awake_children, state.filter_arrival))
+                    if not subtree_filter:
+                        pruned_subtrees[index] += 1
+                        if reg.enabled:
+                            reg.counter("filter_pruned_subtrees_total", protocol=self.name).inc()
+                        tracer.emit(state.filter_arrival, node_id, FILTER_PRUNED)
+                frame = self._filter_frame(node_id, run.fmt, subtree_filter, tel)
+                if frame is not None:
+                    riding.append((index, subtree_filter, awake, state.filter_arrival, frame))
+                elif subtree_filter:  # silence: the children reuse what they hold
+                    for child in awake:
+                        states[child].filter_received = subtree_filter
+                        states[child].filter_arrival = state.filter_arrival
             if not riding:
                 continue
-            departure = max(arrival for _, _, _, arrival in riding)
+            departure = max(arrival for _, _, _, arrival, _ in riding)
             if len(riding) == 1:
-                index, subtree_filter, receivers, _ = riding[0]
-                payload_bytes = self._filter_bytes(runs[index].fmt, subtree_filter, tel)
+                _, subtree_filter, receivers, _, payload_bytes = riding[0]
                 channel.broadcast(node_id, receivers, payload_bytes, PHASE_FILTER)
                 tracer.emit(
                     departure, node_id, FILTER_BROADCAST,
@@ -532,11 +549,9 @@ class SensJoin(JoinAlgorithm):
                     children=len(receivers),
                 )
             else:
-                receivers = sorted({c for _, _, awake, _ in riding for c in awake})
-                payload_bytes = sum(
-                    self._filter_bytes(runs[index].fmt, subtree_filter, tel)
-                    for index, subtree_filter, _, _ in riding
-                ) + PIGGYBACK_HEADER_BYTES * len(riding)
+                receivers = sorted({c for _, _, awake, _, _ in riding for c in awake})
+                frames = sum(frame for _, _, _, _, frame in riding)
+                payload_bytes = frames + PIGGYBACK_HEADER_BYTES * len(riding)
                 piggybacked += 1
                 tracer.emit(
                     departure, node_id, FILTER_PIGGYBACK,
@@ -545,7 +560,7 @@ class SensJoin(JoinAlgorithm):
                 channel.broadcast(node_id, receivers, payload_bytes, PHASE_FILTER)
             arrival = departure + channel.last_send_latency_s
             last_arrival = max(last_arrival, arrival)
-            for index, subtree_filter, awake_children, _ in riding:
+            for index, subtree_filter, awake_children, _, _ in riding:
                 broadcasts[index] += 1
                 states = runs[index].states
                 for child in awake_children:
@@ -622,19 +637,18 @@ class SensJoin(JoinAlgorithm):
     def _matching_records(
         self,
         state: _NodeState,
-        flags_memo: Optional[Dict[FrozenSet[FlaggedPoint], Dict[int, int]]] = None,
+        flags_memo: Dict[FrozenSet[FlaggedPoint], Dict[int, int]],
     ) -> List[FullTupleRecord]:
         """Own + proxied tuples whose point is in the received filter."""
-        incoming = state.filter_received or frozenset()
+        incoming = state.filter_received
         if not incoming:
             return []
-        filter_flags = flags_memo.get(incoming) if flags_memo is not None else None
+        filter_flags = flags_memo.get(incoming)
         if filter_flags is None:
             filter_flags = {}
             for flags, z in incoming:
                 filter_flags[z] = filter_flags.get(z, 0) | flags
-            if flags_memo is not None:
-                flags_memo[incoming] = filter_flags
+            flags_memo[incoming] = filter_flags
         matched: List[FullTupleRecord] = []
         if state.record is not None and state.own_point is not None:
             own_flags, own_z = state.own_point

@@ -181,6 +181,8 @@ class TrialSpec:
     #: the oracle is tree-independent — so the full invariant catalogue
     #: fuzzes the cluster mode for free).
     routing: str = "flat"
+    #: Incremental trials only: run with Treecut on (``SensJoinConfig()``).
+    treecut: bool = False
     check_determinism: bool = False
 
     def __post_init__(self) -> None:
@@ -209,6 +211,8 @@ class TrialSpec:
             raise ValueError(
                 f"in-flight faults need the des-sensjoin engine, not {self.engine!r}"
             )
+        if self.treecut and self.engine != "incremental":
+            raise ValueError(f"treecut needs the incremental engine, not {self.engine!r}")
 
     # -- derived ---------------------------------------------------------------
 
@@ -255,6 +259,8 @@ class TrialSpec:
             parts.append(f"drift={self.drift_rate:g}")
         if self.routing != "flat":
             parts.append(self.routing)
+        if self.treecut:
+            parts.append("treecut")
         if self.check_determinism:
             parts.append("det")
         return " ".join(parts)
@@ -292,6 +298,7 @@ def plan_trials(
     :data:`LARGE_NODE_LADDER` (up to 2k nodes) — the deployment axis that
     drives the spatial grid index at scales the dense build never ran; the
     determinism double-run is skipped there to keep the smoke affordable.
+    Treecut, on ``incremental`` trials only, is derived like the routing mode.
     """
     if count < 0:
         raise ValueError(f"negative trial count: {count}")
@@ -339,6 +346,8 @@ def plan_trials(
         trial_routing = (
             routing if routing is not None else ("cluster" if seed % 4 == 0 else "flat")
         )
+        # From a seed bit the routing mode does not read: ~1 in 2 incremental.
+        treecut = engine == "incremental" and (seed >> 2) % 2 == 1
         specs.append(
             TrialSpec(
                 seed=seed,
@@ -355,6 +364,7 @@ def plan_trials(
                 churn_rate=churn,
                 drift_rate=drift,
                 routing=trial_routing,
+                treecut=treecut,
                 check_determinism=check_det,
             )
         )

@@ -30,6 +30,7 @@ from ..joins.base import (
 from ..joins.des_sensjoin import DesSensJoin, RecoveryPolicy
 from ..joins.incremental import IncrementalSensJoin
 from ..joins.runner import make_algorithm, run_snapshot
+from ..joins.sensjoin import SensJoinConfig
 from ..obs.telemetry import Telemetry
 from ..query.evaluate import JoinResult
 from .generators import ROUND_TIMES, TrialSetup, TrialSpec, build_trial
@@ -195,6 +196,7 @@ def _execute_rounds(setup: TrialSetup) -> List[RoundObservation]:
             setup.network,
             setup.world,
             setup.query,
+            config=SensJoinConfig() if spec.treecut else None,
             tree=setup.tree,
             tree_seed=spec.seed,
         )

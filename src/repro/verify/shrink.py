@@ -85,6 +85,8 @@ def _candidates(spec: TrialSpec, invariant: str) -> Iterator[Tuple[str, TrialSpe
         )
     if spec.routing != "flat":
         yield f"routing {spec.routing} -> flat", replace(spec, routing="flat")
+    if spec.treecut:
+        yield "treecut -> off", replace(spec, treecut=False)
     if spec.drift_rate:
         yield "drift_rate -> 0", replace(spec, drift_rate=0.0)
     if spec.check_determinism and invariant != "deterministic-replay":

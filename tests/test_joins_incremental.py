@@ -3,13 +3,14 @@
 import pytest
 
 from repro import constants
-from repro.joins.incremental import IncrementalSensJoin
+from repro.joins.base import TupleFormat
+from repro.joins.incremental import DELTA_HEADER_BYTES, IncrementalSensJoin, _DeltaSensJoin
 from repro.joins.runner import run_snapshot
-from repro.joins.sensjoin import PHASE_COLLECTION, SensJoinConfig
+from repro.joins.sensjoin import PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL, SensJoinConfig
 from repro.obs.telemetry import Telemetry, instrumented
 from repro.query.parser import parse_query
 from repro.query.query import JoinQuery, Once
-from repro.sim.trace import SPAN_END, TREECUT_EXIT
+from repro.sim.trace import FILTER_BROADCAST, SPAN_END, SPAN_START, TREECUT_EXIT
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +178,55 @@ def test_treecut_rule_holds_in_every_round(make_deployment):
         assert outcome.result.signature() == reference.result.signature(), round_index
     assert exits
     assert max(event.detail["bytes"] for event in exits) <= constants.DEFAULT_TREECUT_DMAX_BYTES
+
+
+def test_traced_round_carries_the_filter_wave(make_deployment):
+    """A continuous round disseminates its filter through SENS-Join's own
+    wave: one filter span under the executor's label, one event per
+    broadcast, and the final phase starting where the wave dies out."""
+    network, world = make_deployment(200, seed=5, drift_rate=0.005)
+    query = parse_query(
+        "SELECT A.hum, B.hum FROM sensors A, sensors B "
+        "WHERE A.temp - B.temp > 6.0 SAMPLE PERIOD 60"
+    )
+    executor = IncrementalSensJoin(network, world, query, tree_seed=5)
+    telemetry = Telemetry.capture()
+    with instrumented(network, telemetry):
+        outcome = executor.run_round(0.0)
+
+    def spans(kind, name):
+        return [
+            event for event in telemetry.tracer.filter(kind=kind)
+            if event.detail["span"] == name
+        ]
+
+    (wave_start,) = spans(SPAN_START, PHASE_FILTER)
+    (wave_end,) = spans(SPAN_END, PHASE_FILTER)
+    assert wave_end.detail["protocol"] == "sens-join[incremental]"
+    assert wave_end.time > wave_start.time
+    broadcasts = telemetry.tracer.filter(kind=FILTER_BROADCAST)
+    assert broadcasts
+    assert len(broadcasts) == outcome.details["filter_broadcasts"]
+    (final_start,) = spans(SPAN_START, PHASE_FINAL)
+    assert final_start.time == wave_end.time
+
+
+def test_filter_frame_prices_against_the_last_broadcast(make_deployment):
+    """Silence for an unchanged filter, the bare header for a filter that
+    became empty, and the header plus the encoded filter otherwise."""
+    network, world = make_deployment(40, seed=5)
+    query = parse_query(
+        "SELECT A.hum, B.hum FROM sensors A, sensors B "
+        "WHERE A.temp - B.temp > 6.0 SAMPLE PERIOD 60"
+    )
+    fmt = TupleFormat(query, world)
+    engine = _DeltaSensJoin(SensJoinConfig(), fmt)
+    tel = network.channel.telemetry
+    points = frozenset({(1, 5), (2, 9)})
+    assert engine._filter_frame(3, fmt, points, tel) == (
+        DELTA_HEADER_BYTES + fmt.encoded_points_bytes(points)
+    )
+    assert engine._filter_frame(3, fmt, points, tel) is None
+    assert engine._filter_frame(3, fmt, frozenset(), tel) == DELTA_HEADER_BYTES
+    assert engine._filter_frame(3, fmt, frozenset(), tel) is None
+    assert engine.frames["suppressed"] == 2

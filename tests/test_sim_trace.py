@@ -220,6 +220,43 @@ class TestEventKindRegistry:
             ("joins/des_sensjoin.py", "sensor_process"),
         }
 
+    def test_one_filter_wave(self):
+        """Grep-proof: snapshot, broker and continuous rounds disseminate
+        their filters through one wave.
+
+        Under ``src/repro``, only ``joins/sensjoin.py::_filter_phase`` and
+        the DES twin ``joins/des_sensjoin.py`` pass ``PHASE_FILTER`` to a
+        channel send.
+        """
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        senders = set()
+
+        def names_filter_phase(arg):
+            name = arg.id if isinstance(arg, ast.Name) else getattr(arg, "attr", None)
+            return name == "PHASE_FILTER"
+
+        def visit(node, path, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) in ("unicast", "broadcast")
+                and any(
+                    names_filter_phase(arg)
+                    for arg in [*node.args, *(kw.value for kw in node.keywords)]
+                )
+            ):
+                senders.add((path, function))
+            for child in ast.iter_child_nodes(node):
+                visit(child, path, function)
+
+        for file in sorted(src.rglob("*.py")):
+            visit(ast.parse(file.read_text()), file.relative_to(src).as_posix(), None)
+        assert {path for path, _ in senders} == {"joins/sensjoin.py", "joins/des_sensjoin.py"}
+        assert {
+            function for path, function in senders if path == "joins/sensjoin.py"
+        } == {"_filter_phase"}
+
     def test_one_fault_applier(self):
         """Grep-proof: every recovery model changes the topology the same way.
 

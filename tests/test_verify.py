@@ -316,6 +316,51 @@ class TestScaleAxes:
         assert report.passed, report.violations
 
 
+class TestTreecutAxis:
+    """The incremental executor with Treecut on, derived from the seed."""
+
+    def test_treecut_derived_from_seed_on_incremental_only(self):
+        specs = plan_trials(70, 0)
+        for spec in specs:
+            assert spec.treecut == (spec.engine == "incremental" and (spec.seed >> 2) % 2 == 1)
+        assert {spec.treecut for spec in specs if spec.engine == "incremental"} == {
+            False, True,
+        }
+
+    def test_treecut_needs_the_incremental_engine(self):
+        with pytest.raises(ValueError, match="incremental engine"):
+            TrialSpec(seed=0, engine="sens-join", treecut=True)
+
+    def test_describe_mentions_treecut(self):
+        spec = TrialSpec(seed=0, engine="incremental", treecut=True)
+        assert "treecut" in spec.describe()
+        assert "treecut" not in TrialSpec(seed=0, engine="incremental").describe()
+
+    def test_treecut_trial_passes_invariants(self):
+        spec = TrialSpec(
+            seed=3, engine="incremental", node_count=24, drift_rate=0.001,
+            treecut=True, check_determinism=True,
+        )
+        report = run_trial(spec)
+        assert report.passed, report.violations
+        for observation in report.execution.rounds:
+            assert observation.outcome.details["treecut_exited"] > 0
+
+    def test_shrink_turns_treecut_off_when_irrelevant(self):
+        def execute(spec):
+            violations = (
+                [Violation("engine-matches-oracle", "boom")] if spec.loss_rate else []
+            )
+            return TrialReport(spec=spec, violations=violations)
+
+        original = TrialSpec(
+            seed=1, engine="incremental", node_count=12, loss_rate=0.1, treecut=True
+        )
+        result = shrink(execute(original), execute=execute)
+        assert not result.spec.treecut
+        assert "treecut -> off" in result.steps
+
+
 class TestScaleShrinking:
     def test_shrink_bisects_node_count(self):
         """A count-threshold failure walks down in O(log n), not ladder steps."""

@@ -43,6 +43,7 @@ same as the original recursive writer, which is kept as
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -55,6 +56,21 @@ __all__ = ["FlaggedPoint", "QuadtreeCodec"]
 
 #: A point in the tree: (relation flags, Z-number).
 FlaggedPoint = Tuple[int, int]
+
+
+@functools.lru_cache(maxsize=None)
+def _quadrant_table(arity: int, level_shift: int) -> Tuple[Tuple[int, ...], ...]:
+    """mask -> present quadrants in *reverse* order (decode pushes them on a
+    stack), pre-shifted past the level field; shared by every level and
+    codec of one arity (at most 8) and level shift."""
+    return tuple(
+        tuple(
+            q << level_shift
+            for q in range(arity - 1, -1, -1)
+            if (mask >> (arity - 1 - q)) & 1
+        )
+        for mask in range(1 << arity)
+    )
 
 
 class QuadtreeCodec:
@@ -92,21 +108,10 @@ class QuadtreeCodec:
         # Decode packs (prefix, level) stack entries into one int; this many
         # low bits address the level.
         self._level_shift: int = max(1, len(self._schedule).bit_length())
-        # mask -> present quadrants in *reverse* order (decode pushes them on
-        # a stack), pre-shifted past the level field.  Level widths are tiny
-        # (<= #dims, or flag count) so 2**arity entries stay small; None past
-        # width 3 keeps a pathological schedule from exploding the table.
+        # None past width 3 keeps a pathological schedule from exploding
+        # the table.
         self._quadrants: List[Optional[Tuple[Tuple[int, ...], ...]]] = [
-            tuple(
-                tuple(
-                    q << self._level_shift
-                    for q in range(arity - 1, -1, -1)
-                    if (mask >> (arity - 1 - q)) & 1
-                )
-                for mask in range(1 << arity)
-            )
-            if arity <= 8
-            else None
+            _quadrant_table(arity, self._level_shift) if arity <= 8 else None
             for _, arity in self._arities
         ]
 

@@ -15,10 +15,12 @@ and a value maps to cell ``floor((v - MinVal) / Resolution)``, clamped to
 Conservativeness at the boundary: the paper argues clamping can only cause
 false *positives*.  That is true only if the pre-computation join treats the
 boundary cells as unbounded; otherwise a clamped value could be pruned away
-and the final result would silently lose a row.  :meth:`Quantizer.cell_bounds`
-therefore widens cell 0 downwards and the last cell upwards (to a large
-finite sentinel, avoiding inf*0 NaN traps in interval arithmetic), which
-preserves the paper's exactness claim for arbitrary data.
+and the final result would silently lose a row.
+:meth:`QuantizedDimension.bounds_of`, the one definition of a cell's
+interval, therefore widens cell 0 downwards and the last cell upwards (to a
+large finite sentinel), which preserves the paper's exactness claim for
+arbitrary data.  :meth:`Quantizer.cell_bounds` applies it to many Z-numbers
+at once, giving per-attribute ``(lo, hi)`` arrays.
 """
 
 from __future__ import annotations
@@ -27,15 +29,15 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from ..data.sensors import SensorCatalog, SensorSpec
 from ..errors import CodecError
-from ..query.evaluate import CellBounds
 from . import zcurve
 
 __all__ = ["Quantizer", "QuantizedDimension", "UNBOUNDED_SENTINEL"]
 
-#: Large finite stand-in for +-infinity in boundary-cell bounds.  Finite so
-#: that interval arithmetic (e.g. 0 * bound) never produces NaN; large enough
+#: Large finite stand-in for +-infinity in boundary-cell bounds, large enough
 #: to dominate any realistic sensor value or coordinate.
 UNBOUNDED_SENTINEL = 1e30
 
@@ -74,17 +76,17 @@ class QuantizedDimension:
             return self.size - 1
         return cell
 
-    def bounds_of(self, cell: int) -> Tuple[float, float]:
-        """Raw-value interval covered by ``cell``, boundary cells widened."""
-        if cell < 0 or cell >= self.size:
+    def bounds_of(self, cell: int | np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Raw-value interval covered by ``cell`` (an index or an array of
+        them; floats for an index), boundary cells widened."""
+        cells = np.asarray(cell)
+        if np.any((cells < 0) | (cells >= self.size)):
             raise CodecError(f"cell {cell} out of range for dimension {self.name!r}")
-        lo = self.min_value + cell * self.resolution
+        lo = self.min_value + cells * self.resolution
         hi = lo + self.resolution
-        if cell == 0:
-            lo = -UNBOUNDED_SENTINEL
-        if cell == self.size - 1:
-            hi = UNBOUNDED_SENTINEL
-        return lo, hi
+        lo = np.where(cells == 0, -UNBOUNDED_SENTINEL, lo)
+        hi = np.where(cells == self.size - 1, UNBOUNDED_SENTINEL, hi)
+        return lo[()], hi[()]
 
 
 class Quantizer:
@@ -104,7 +106,6 @@ class Quantizer:
         if len(set(names)) != len(names):
             raise CodecError(f"duplicate dimension names: {names}")
         self.dimensions: Tuple[QuantizedDimension, ...] = tuple(dimensions)
-        self._index: Dict[str, int] = {name: i for i, name in enumerate(names)}
         self.bits_per_dim: List[int] = [dimension.bits for dimension in dimensions]
 
     @classmethod
@@ -146,16 +147,15 @@ class Quantizer:
             for dimension, coordinate in zip(self.dimensions, coordinates)
         }
 
-    def cell_bounds(self, z: int) -> CellBounds:
-        """Z-number -> conservative raw-value intervals per attribute."""
-        cells = self.decode_cells(z)
-        lo: Dict[str, float] = {}
-        hi: Dict[str, float] = {}
-        for dimension in self.dimensions:
-            cell_lo, cell_hi = dimension.bounds_of(cells[dimension.name])
-            lo[dimension.name] = cell_lo
-            hi[dimension.name] = cell_hi
-        return CellBounds(lo, hi)
+    def cell_bounds(self, zs: Sequence[int]) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+        """Z-numbers -> per attribute, the ``(lo, hi)`` arrays of their cells."""
+        cells = np.array(
+            [zcurve.deinterleave(z, self.bits_per_dim) for z in zs], dtype=np.int64
+        ).reshape(len(zs), len(self.dimensions))
+        return {
+            dimension.name: dimension.bounds_of(cells[:, index])
+            for index, dimension in enumerate(self.dimensions)
+        }
 
     def representative(self, z: int) -> Dict[str, float]:
         """Z-number -> the centre point of the cell (for visualisation)."""

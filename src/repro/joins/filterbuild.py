@@ -18,42 +18,46 @@ independently (e.g. in Q1 a hot node may join as A but not as B).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional
+
+import numpy as np
 
 from ..codec.quadtree import FlaggedPoint
 from ..codec.setops import union_points
-from ..query.evaluate import CellBounds, conservative_semijoin
+from ..query.evaluate import conservative_semijoin
+from ..query.query import JoinQuery
 from .base import TupleFormat
 
 __all__ = ["build_join_filter", "compose_filters"]
 
 
 def build_join_filter(
-    fmt: TupleFormat, points: Iterable[FlaggedPoint]
+    fmt: TupleFormat, points: Iterable[FlaggedPoint], query: Optional[JoinQuery] = None
 ) -> FrozenSet[FlaggedPoint]:
-    """The join filter: the sub-(multi)set of points that possibly join."""
+    """The join filter: the sub-(multi)set of points that possibly join.
+
+    ``query`` defaults to the format's own; another query must share the
+    format's aliases and quantizer (a broker share group).
+    """
     # Collapse duplicate Z-numbers, OR-ing their flags (different nodes can
     # share a quantization cell — that is the whole point of quantizing).
     flags_by_z: Dict[int, int] = {}
     for flags, z in points:
         flags_by_z[z] = flags_by_z.get(z, 0) | flags
+    zs = sorted(flags_by_z)
+    flags = np.array([flags_by_z[z] for z in zs], dtype=np.int64)
+    bits = {alias: fmt.alias_bit(alias) for alias in fmt.aliases}
 
-    # Per alias: the list of Z-numbers playing that role, with cell bounds.
-    z_lists: Dict[str, List[int]] = {}
-    cells_by_alias: Dict[str, List[CellBounds]] = {}
-    for alias in fmt.aliases:
-        bit = fmt.alias_bit(alias)
-        zs = sorted(z for z, flags in flags_by_z.items() if flags & bit)
-        z_lists[alias] = zs
-        cells_by_alias[alias] = [fmt.quantizer.cell_bounds(z) for z in zs]
-
-    survivors = conservative_semijoin(fmt.query, cells_by_alias)
+    # Each distinct cell is decoded once, whichever aliases it plays.
+    survivors = conservative_semijoin(
+        fmt.query if query is None else query,
+        fmt.quantizer.cell_bounds(zs),
+        {alias: np.flatnonzero(flags & bit) for alias, bit in bits.items()},
+    )
 
     surviving_flags: Dict[int, int] = {}
-    for alias in fmt.aliases:
-        bit = fmt.alias_bit(alias)
-        zs = z_lists[alias]
-        for index in survivors[alias]:
+    for alias, bit in bits.items():
+        for index in survivors[alias].tolist():
             z = zs[index]
             surviving_flags[z] = surviving_flags.get(z, 0) | bit
     return frozenset((flags, z) for z, flags in surviving_flags.items())

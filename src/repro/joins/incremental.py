@@ -120,9 +120,12 @@ class _DeltaSensJoin(SensJoin):
     ) -> Optional[int]:
         """Nothing for the filter ``node_id`` broadcast last round (its
         children reuse it), the bare header for a filter that became empty,
-        and the header plus the encoded filter otherwise."""
+        and the header plus the encoded filter otherwise.  A node that never
+        broadcast stays silent for an empty filter, as in a snapshot, so
+        only a node with an earlier broadcast counts as suppressed."""
         if points == self.last_filter.get(node_id, frozenset()):
-            self.frames["suppressed"] += 1
+            if node_id in self.last_filter:
+                self.frames["suppressed"] += 1
             return None
         self.last_filter[node_id] = points
         if not points:

@@ -1,6 +1,6 @@
 """Query layer: SQL dialect, expression AST, interval logic, join evaluation."""
 
-from .evaluate import CellBounds, JoinResult, Row, conservative_semijoin, evaluate_join
+from .evaluate import JoinResult, Row, conservative_semijoin, evaluate_join
 from .expressions import (
     Abs,
     Add,
@@ -28,7 +28,6 @@ __all__ = [
     "Add",
     "Aggregate",
     "And",
-    "CellBounds",
     "Column",
     "Compare",
     "Distance",

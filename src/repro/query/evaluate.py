@@ -19,11 +19,11 @@ Two evaluators live here, both driven by the same query AST:
     to build the join filter (§IV-A step 1a): a point survives iff it
     participates in at least one combination that *possibly* satisfies all
     join predicates (interval semantics — see :mod:`repro.query.intervals`).
-    The output per alias is exactly the N-way semi-join reduction [10] of
-    the quantized relations.
+    It reads the cells as per-attribute ``(lo, hi)`` arrays and returns,
+    per alias, the surviving cells as an index array: exactly the N-way
+    semi-join reduction [10] of the quantized relations.
 
-Both share :class:`Row` — one tuple with its originating node id — and the
-conjunct schedule :func:`_conjunct_schedule`.
+Both bind aliases through the conjunct schedule :func:`_conjunct_schedule`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from ..errors import EvaluationError, QueryError
 from .expressions import Aggregate, ColumnRef, Expression, Predicate
 from .query import JoinQuery
 
-__all__ = ["Row", "JoinResult", "evaluate_join", "conservative_semijoin", "CellBounds"]
+__all__ = ["Row", "JoinResult", "evaluate_join", "conservative_semijoin"]
 
 
 @dataclass(frozen=True)
@@ -417,23 +417,21 @@ def _reference_expand_exact(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellBounds:
-    """One quantized join-attribute tuple as per-attribute value intervals.
-
-    ``lo[attr]``/``hi[attr]`` bound the raw values the cell may contain.
-    Produced by :meth:`repro.codec.quantize.Quantizer.cell_bounds`.
-    """
-
-    lo: Mapping[str, float]
-    hi: Mapping[str, float]
+#: Per attribute, the ``(lo, hi)`` arrays of a sequence of cells.
+CellArrays = Mapping[str, Tuple[np.ndarray, np.ndarray]]
 
 
 def conservative_semijoin(
     query: JoinQuery,
-    cells_by_alias: Mapping[str, Sequence[CellBounds]],
-) -> Dict[str, Set[int]]:
-    """Indices per alias of cells that possibly join (N-way semi-join).
+    bounds: CellArrays,
+    rows: Mapping[str, np.ndarray],
+) -> Dict[str, np.ndarray]:
+    """The cells per alias that possibly join (N-way semi-join).
+
+    ``bounds`` holds one sequence of cells
+    (:meth:`repro.codec.quantize.Quantizer.cell_bounds`); ``rows[alias]``
+    indexes the cells that play ``alias``.  The result gives, per alias,
+    the sorted subset of ``rows[alias]`` that survives.
 
     A cell of alias X survives iff there is a combination of cells (one per
     other alias) such that **every** join predicate *possibly* holds under
@@ -447,64 +445,46 @@ def conservative_semijoin(
     aliases = query.aliases
     if len(aliases) < 2:
         raise QueryError("conservative_semijoin needs at least two relations")
+    rows = {alias: np.asarray(rows.get(alias, ()), dtype=np.intp) for alias in aliases}
     if len(aliases) == 2:
-        return _semijoin_two_way(query, cells_by_alias)
-    return _semijoin_n_way(query, cells_by_alias)
-
-
-def _bounds_env_for(
-    alias: str,
-    cells: Sequence[CellBounds],
-    attrs: Sequence[str],
-    orient_rows: bool,
-) -> Dict[ColumnRef, Tuple[np.ndarray, np.ndarray]]:
-    env: Dict[ColumnRef, Tuple[np.ndarray, np.ndarray]] = {}
-    for attr in attrs:
-        lo = np.array([cell.lo[attr] for cell in cells], dtype=float)
-        hi = np.array([cell.hi[attr] for cell in cells], dtype=float)
-        if orient_rows:
-            env[(alias, attr)] = (lo[:, None], hi[:, None])
-        else:
-            env[(alias, attr)] = (lo[None, :], hi[None, :])
-    return env
+        return _semijoin_two_way(query, bounds, rows)
+    return _semijoin_n_way(query, bounds, rows)
 
 
 def _semijoin_two_way(
-    query: JoinQuery,
-    cells_by_alias: Mapping[str, Sequence[CellBounds]],
-) -> Dict[str, Set[int]]:
+    query: JoinQuery, bounds: CellArrays, rows: Mapping[str, np.ndarray]
+) -> Dict[str, np.ndarray]:
     alias_a, alias_b = query.aliases
-    cells_a = list(cells_by_alias.get(alias_a, ()))
-    cells_b = list(cells_by_alias.get(alias_b, ()))
-    if not cells_a or not cells_b:
-        return {alias_a: set(), alias_b: set()}
+    rows_a, rows_b = rows[alias_a], rows[alias_b]
+    if not len(rows_a) or not len(rows_b):
+        return {alias_a: rows_a[:0], alias_b: rows_b[:0]}
     env: Dict[ColumnRef, Tuple[np.ndarray, np.ndarray]] = {}
-    env.update(_bounds_env_for(alias_a, cells_a, query.join_attributes(alias_a), True))
-    env.update(_bounds_env_for(alias_b, cells_b, query.join_attributes(alias_b), False))
-    possible = np.ones((len(cells_a), len(cells_b)), dtype=bool)
+    for attr in query.join_attributes(alias_a):
+        lo, hi = bounds[attr]
+        env[(alias_a, attr)] = (lo[rows_a, None], hi[rows_a, None])
+    for attr in query.join_attributes(alias_b):
+        lo, hi = bounds[attr]
+        env[(alias_b, attr)] = (lo[None, rows_b], hi[None, rows_b])
+    possible = np.ones((len(rows_a), len(rows_b)), dtype=bool)
     for conjunct in query.join_predicates:
-        conjunct_possible, _ = conjunct.masks(env)
-        possible &= np.broadcast_to(conjunct_possible, possible.shape)
-    survivors_a = {int(i) for i in np.nonzero(possible.any(axis=1))[0]}
-    survivors_b = {int(j) for j in np.nonzero(possible.any(axis=0))[0]}
-    return {alias_a: survivors_a, alias_b: survivors_b}
+        possible &= conjunct.possible(env)
+    return {alias_a: rows_a[possible.any(axis=1)], alias_b: rows_b[possible.any(axis=0)]}
 
 
 def _semijoin_n_way(
     query: JoinQuery,
-    cells_by_alias: Mapping[str, Sequence[CellBounds]],
+    bounds: CellArrays,
+    rows: Mapping[str, np.ndarray],
     max_combinations: int = 5_000_000,
-) -> Dict[str, Set[int]]:
+) -> Dict[str, np.ndarray]:
     """General case: incremental binding with possible-mask pruning."""
     aliases = query.aliases
     schedule = _conjunct_schedule(query, aliases)
-    combos = np.zeros((1, 0), dtype=int)
-    env: Dict[ColumnRef, Tuple[np.ndarray, np.ndarray]] = {}
+    combos = np.zeros((1, 0), dtype=np.intp)
     for step, alias in enumerate(aliases, start=1):
-        cells = list(cells_by_alias.get(alias, ()))
-        count = len(cells)
+        count = len(rows[alias])
         if count == 0:
-            return {alias: set() for alias in aliases}
+            return {alias: rows[alias][:0] for alias in aliases}
         partial = combos.shape[0]
         if partial * count > max_combinations:
             raise EvaluationError(
@@ -512,28 +492,20 @@ def _semijoin_n_way(
                 f"{partial * count} combinations (> {max_combinations}); "
                 "reduce the relations or tighten the predicates"
             )
-        new_combos = np.empty((partial * count, combos.shape[1] + 1), dtype=int)
+        # Every partial combination x every cell of this alias; a
+        # combination holds cell indices into ``bounds``.
+        new_combos = np.empty((partial * count, step), dtype=np.intp)
         new_combos[:, :-1] = np.repeat(combos, count, axis=0)
-        new_combos[:, -1] = np.tile(np.arange(count), partial)
+        new_combos[:, -1] = np.tile(rows[alias], partial)
         combos = new_combos
-        env = {
-            ref: (np.repeat(lo, count), np.repeat(hi, count)) for ref, (lo, hi) in env.items()
-        }
-        for attr in query.join_attributes(alias):
-            lo = np.array([cell.lo[attr] for cell in cells], dtype=float)
-            hi = np.array([cell.hi[attr] for cell in cells], dtype=float)
-            env[(alias, attr)] = (np.tile(lo, partial), np.tile(hi, partial))
-        mask: Optional[np.ndarray] = None
-        for fire_step, conjunct in schedule:
-            if fire_step != step:
-                continue
-            possible, _ = conjunct.masks(env)
-            possible = np.broadcast_to(possible, (combos.shape[0],))
-            mask = possible if mask is None else (mask & possible)
-        if mask is not None:
-            combos = combos[mask]
-            env = {ref: (lo[mask], hi[mask]) for ref, (lo, hi) in env.items()}
-    survivors: Dict[str, Set[int]] = {}
-    for position, alias in enumerate(aliases):
-        survivors[alias] = {int(i) for i in np.unique(combos[:, position])}
-    return survivors
+        conjuncts = [conjunct for fire_step, conjunct in schedule if fire_step == step]
+        env: Dict[ColumnRef, Tuple[np.ndarray, np.ndarray]] = {}
+        for ref_alias, attr in {ref for conjunct in conjuncts for ref in conjunct.columns()}:
+            lo, hi = bounds[attr]
+            cells = combos[:, aliases.index(ref_alias)]
+            env[(ref_alias, attr)] = (lo[cells], hi[cells])
+        mask = np.ones(len(combos), dtype=bool)
+        for conjunct in conjuncts:
+            mask &= conjunct.possible(env)
+        combos = combos[mask]
+    return {alias: np.unique(combos[:, position]) for position, alias in enumerate(aliases)}

@@ -12,24 +12,27 @@ evaluators, all used by the system:
     Exact *vectorised* evaluation; ``env`` maps columns to numpy arrays (all
     of one broadcastable shape).  The base station uses this to join
     thousands of tuples in bulk.
-``bounds(env)`` / ``masks(env)``
+``bounds(env)`` / ``possible(env)``
     Conservative evaluation over quantization cells.  Numeric nodes map
-    interval environments to intervals (scalar: :class:`Interval`;
-    vectorised: ``(lo, hi)`` array pairs); predicate nodes return a
-    :class:`TriBool` (scalar) or a pair of boolean masks ``(possible,
-    definite)`` (vectorised).  ``possible`` is the filter-construction
-    criterion: a cell pair is pruned only when the predicate cannot hold
-    anywhere inside the cells.
+    interval environments to intervals (scalar: :class:`Interval`, the
+    reference; vectorised: ``bounds_arrays``, ``(lo, hi)`` array pairs);
+    predicate nodes return a :class:`TriBool` (scalar) or one boolean mask
+    ``possible`` (vectorised), the filter-construction criterion: a cell
+    pair is pruned only when the predicate cannot hold anywhere inside the
+    cells.  ``NOT`` asks for the ``possible`` of its operand's
+    :meth:`Predicate.negated` form, NOT pushed onto the comparisons.  Both
+    modes take ``0 * ±inf`` as 0, so bounds are never NaN.
 
 The invariant connecting the modes (checked by property tests): for any
 environment of point intervals, ``bounds`` degenerates to ``evaluate``, and
 for any environment of true intervals, the exact result of any contained
-point env lies within ``bounds`` / is consistent with ``masks``.
+point env lies within ``bounds`` / is consistent with ``possible``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Mapping, Sequence, Set, Tuple
 
 import numpy as np
@@ -295,6 +298,19 @@ class Sub(_Binary):
         return llo - rhi, lhi - rlo
 
 
+def _product_bounds(
+    llo: np.ndarray, lhi: np.ndarray, rlo: np.ndarray, rhi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``[llo, lhi] * [rlo, rhi]``, with ``0 * ±inf`` taken as 0: an unbounded
+    factor stands for finite values, and a NaN would prune the pair."""
+    with np.errstate(invalid="ignore"):
+        candidates = np.stack(
+            np.broadcast_arrays(llo * rlo, llo * rhi, lhi * rlo, lhi * rhi)
+        )
+    candidates[np.isnan(candidates)] = 0.0
+    return candidates.min(axis=0), candidates.max(axis=0)
+
+
 class Mul(_Binary):
     """Multiplication."""
 
@@ -312,10 +328,7 @@ class Mul(_Binary):
     def bounds_arrays(self, env: BoundsEnv) -> Tuple[np.ndarray, np.ndarray]:
         llo, lhi = self.left.bounds_arrays(env)
         rlo, rhi = self.right.bounds_arrays(env)
-        candidates = np.stack(
-            np.broadcast_arrays(llo * rlo, llo * rhi, lhi * rlo, lhi * rhi)
-        )
-        return candidates.min(axis=0), candidates.max(axis=0)
+        return _product_bounds(llo, lhi, rlo, rhi)
 
 
 class Div(_Binary):
@@ -346,16 +359,8 @@ class Div(_Binary):
         with np.errstate(divide="ignore"):
             inv_lo = np.where(spans_zero, 1.0, 1.0 / np.where(spans_zero, 1.0, rhi))
             inv_hi = np.where(spans_zero, 1.0, 1.0 / np.where(spans_zero, 1.0, rlo))
-        candidates = np.stack(
-            np.broadcast_arrays(llo * inv_lo, llo * inv_hi, lhi * inv_lo, lhi * inv_hi)
-        )
-        lo = candidates.min(axis=0)
-        hi = candidates.max(axis=0)
-        lo = np.where(spans_zero, -np.inf, lo)
-        hi = np.where(spans_zero, np.inf, hi)
-        return np.broadcast_to(lo, np.broadcast_shapes(lo.shape, hi.shape)).copy(), np.broadcast_to(
-            hi, np.broadcast_shapes(lo.shape, hi.shape)
-        ).copy()
+        lo, hi = _product_bounds(llo, lhi, inv_lo, inv_hi)
+        return np.where(spans_zero, -np.inf, lo), np.where(spans_zero, np.inf, hi)
 
 
 class Distance(Expression):
@@ -427,8 +432,12 @@ class Predicate:
         """Three-valued outcome under an interval environment."""
         raise NotImplementedError
 
-    def masks(self, env: BoundsEnv) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised ``(possible, definite)`` boolean masks."""
+    def possible(self, env: BoundsEnv) -> np.ndarray:
+        """Vectorised mask: may the predicate hold somewhere in the cells?"""
+        raise NotImplementedError
+
+    def negated(self) -> "Predicate":
+        """The negation, NOT pushed down onto the comparisons."""
         raise NotImplementedError
 
     def columns(self) -> Set[ColumnRef]:
@@ -453,6 +462,15 @@ class Compare(Predicate):
     """A comparison ``left OP right`` with OP in <, <=, >, >=, =, !=."""
 
     OPS = ("<", "<=", ">", ">=", "=", "!=")
+    #: Each operator as a function of two floats or two arrays, and as the
+    #: :class:`Interval` method giving its :class:`TriBool`.
+    _FUNCTIONS = {
+        "<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge, "=": operator.eq, "!=": operator.ne,
+    }
+    _INTERVAL_METHODS = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge", "=": "eq", "!=": "ne"}
+    #: The complement of each operator: ``NOT (a < b)`` is ``a >= b``.
+    NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
 
     def __init__(self, op: str, left: Expression, right: Expression):
         if op not in self.OPS:
@@ -462,76 +480,32 @@ class Compare(Predicate):
         self.right = right
 
     def evaluate(self, env: ScalarEnv) -> bool:
-        lhs = self.left.evaluate(env)
-        rhs = self.right.evaluate(env)
-        return self._compare_scalar(lhs, rhs)
-
-    def _compare_scalar(self, lhs: float, rhs: float) -> bool:
-        if self.op == "<":
-            return lhs < rhs
-        if self.op == "<=":
-            return lhs <= rhs
-        if self.op == ">":
-            return lhs > rhs
-        if self.op == ">=":
-            return lhs >= rhs
-        if self.op == "=":
-            return lhs == rhs
-        return lhs != rhs
+        return self._FUNCTIONS[self.op](self.left.evaluate(env), self.right.evaluate(env))
 
     def values(self, env: ArrayEnv) -> np.ndarray:
-        lhs = self.left.values(env)
-        rhs = self.right.values(env)
-        if self.op == "<":
-            return lhs < rhs
-        if self.op == "<=":
-            return lhs <= rhs
-        if self.op == ">":
-            return lhs > rhs
-        if self.op == ">=":
-            return lhs >= rhs
-        if self.op == "=":
-            return lhs == rhs
-        return lhs != rhs
+        return self._FUNCTIONS[self.op](self.left.values(env), self.right.values(env))
 
     def tribool(self, env: IntervalEnv) -> TriBool:
         lhs = self.left.bounds(env)
-        rhs = self.right.bounds(env)
-        if self.op == "<":
-            return lhs.lt(rhs)
-        if self.op == "<=":
-            return lhs.le(rhs)
-        if self.op == ">":
-            return lhs.gt(rhs)
-        if self.op == ">=":
-            return lhs.ge(rhs)
-        if self.op == "=":
-            return lhs.eq(rhs)
-        return lhs.ne(rhs)
+        return getattr(lhs, self._INTERVAL_METHODS[self.op])(self.right.bounds(env))
 
-    def masks(self, env: BoundsEnv) -> Tuple[np.ndarray, np.ndarray]:
+    def possible(self, env: BoundsEnv) -> np.ndarray:
         llo, lhi = self.left.bounds_arrays(env)
         rlo, rhi = self.right.bounds_arrays(env)
         if self.op == "<":
-            possible = llo < rhi
-            definite = lhi < rlo
-        elif self.op == "<=":
-            possible = llo <= rhi
-            definite = lhi <= rlo
-        elif self.op == ">":
-            possible = lhi > rlo
-            definite = llo > rhi
-        elif self.op == ">=":
-            possible = lhi >= rlo
-            definite = llo >= rhi
-        elif self.op == "=":
-            possible = (llo <= rhi) & (rlo <= lhi)
-            definite = (llo == lhi) & (rlo == rhi) & (llo == rlo)
-        else:  # !=
-            possible = ~((llo == lhi) & (rlo == rhi) & (llo == rlo))
-            definite = (lhi < rlo) | (rhi < llo)
-        possible, definite = np.broadcast_arrays(possible, definite)
-        return possible.copy(), definite.copy()
+            return llo < rhi
+        if self.op == "<=":
+            return llo <= rhi
+        if self.op == ">":
+            return lhi > rlo
+        if self.op == ">=":
+            return lhi >= rlo
+        if self.op == "=":
+            return (llo <= rhi) & (rlo <= lhi)
+        return ~((llo == lhi) & (rlo == rhi) & (llo == rlo))
+
+    def negated(self) -> Predicate:
+        return Compare(self.NEGATED[self.op], self.left, self.right)
 
     def columns(self) -> Set[ColumnRef]:
         return self.left.columns() | self.right.columns()
@@ -563,13 +537,14 @@ class And(Predicate):
             result = result & part.tribool(env)
         return result
 
-    def masks(self, env: BoundsEnv) -> Tuple[np.ndarray, np.ndarray]:
-        possible, definite = self.parts[0].masks(env)
+    def possible(self, env: BoundsEnv) -> np.ndarray:
+        result = self.parts[0].possible(env)
         for part in self.parts[1:]:
-            p, d = part.masks(env)
-            possible = possible & p
-            definite = definite & d
-        return possible, definite
+            result = result & part.possible(env)
+        return result
+
+    def negated(self) -> Predicate:
+        return Or(*(part.negated() for part in self.parts))
 
     def columns(self) -> Set[ColumnRef]:
         result: Set[ColumnRef] = set()
@@ -606,13 +581,14 @@ class Or(Predicate):
             result = result | part.tribool(env)
         return result
 
-    def masks(self, env: BoundsEnv) -> Tuple[np.ndarray, np.ndarray]:
-        possible, definite = self.parts[0].masks(env)
+    def possible(self, env: BoundsEnv) -> np.ndarray:
+        result = self.parts[0].possible(env)
         for part in self.parts[1:]:
-            p, d = part.masks(env)
-            possible = possible | p
-            definite = definite | d
-        return possible, definite
+            result = result | part.possible(env)
+        return result
+
+    def negated(self) -> Predicate:
+        return And(*(part.negated() for part in self.parts))
 
     def columns(self) -> Set[ColumnRef]:
         result: Set[ColumnRef] = set()
@@ -639,9 +615,11 @@ class Not(Predicate):
     def tribool(self, env: IntervalEnv) -> TriBool:
         return self.operand.tribool(env).negate()
 
-    def masks(self, env: BoundsEnv) -> Tuple[np.ndarray, np.ndarray]:
-        possible, definite = self.operand.masks(env)
-        return ~definite, ~possible
+    def possible(self, env: BoundsEnv) -> np.ndarray:
+        return self.operand.negated().possible(env)
+
+    def negated(self) -> Predicate:
+        return self.operand
 
     def columns(self) -> Set[ColumnRef]:
         return self.operand.columns()

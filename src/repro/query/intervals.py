@@ -125,12 +125,16 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
+        # 0 * +-inf is 0: an unbounded factor stands for finite values.
+        products = [
+            0.0 if math.isnan(product) else product
+            for product in (
+                self.lo * other.lo,
+                self.lo * other.hi,
+                self.hi * other.lo,
+                self.hi * other.hi,
+            )
+        ]
         return Interval(min(products), max(products))
 
     def __truediv__(self, other: "Interval") -> "Interval":

@@ -63,7 +63,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import constants
 from ..errors import BrokerError
-from ..joins.base import ExecutionContext, TupleFormat, evaluate_arrived, oracle_result
+from ..joins.base import ExecutionContext, evaluate_arrived, oracle_result
 from ..joins.filterbuild import build_join_filter, compose_filters
 from ..joins.sensjoin import SensJoin, SensJoinRun
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry, instrumented
@@ -719,10 +719,11 @@ class QueryBroker:
             epoch.append(group)
             try:
                 points = engine.collect(group.run)
-                fmt = group.run.fmt
+                # sharing_signature fixes the aliases, join attributes and
+                # quantizer, so every member's filter is built on the
+                # group's format.
                 group.run.join_filter = compose_filters(
-                    build_join_filter(fmt if index == 0 else TupleFormat(r.query, world), points)
-                    for index, r in enumerate(members)
+                    build_join_filter(group.run.fmt, points, r.query) for r in members
                 )
             except Exception as exc:
                 group.error = exc

@@ -125,6 +125,15 @@ _SELF_TEMPLATES: Tuple[QueryTemplate, ...] = (
         "WHERE A.temp - B.temp > {t:.3f} {mode}",
         lo=0.5, hi=8.0,
     ),
+    # NOT and OR in the join predicate, so every engine's filter meets the
+    # pushed-down negation against the oracle.  No division: the exact
+    # evaluator raises on a zero denominator.
+    QueryTemplate(
+        "SELECT A.temp, B.temp FROM sensors A, sensors B "
+        "WHERE NOT (A.temp - B.temp <= {t:.3f}) "
+        "AND (|A.hum - B.hum| < 20.0 OR NOT (distance(A.x, A.y, B.x, B.y) <= 80.0)) {mode}",
+        lo=0.5, hi=8.0,
+    ),
 )
 
 #: Heterogeneous templates over the ``two_relations`` split.

@@ -39,6 +39,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
+import numpy as np
+
 from ..codec import setops
 from ..codec import zcurve
 from ..obs import reconcile
@@ -117,40 +119,40 @@ def check_quantization_conservative(execution) -> Optional[str]:
         fmt = obs.tuple_format
         quantizer = fmt.quantizer
         label = f"round {obs.round_index}"
+        records = obs.records
+        bounds = quantizer.cell_bounds(
+            [
+                quantizer.encode({name: record.values[name] for name in fmt.join_attributes})
+                for record in records
+            ]
+        )
         # 1. Cell bounds contain the raw value (boundary cells are widened).
-        for record in obs.records:
-            values = {name: record.values[name] for name in fmt.join_attributes}
-            z = quantizer.encode(values)
-            bounds = quantizer.cell_bounds(z)
-            for name, value in values.items():
-                if not bounds.lo[name] <= value <= bounds.hi[name]:
+        for index, record in enumerate(records):
+            for name, (lo, hi) in bounds.items():
+                value = record.values[name]
+                if not lo[index] <= value <= hi[index]:
                     return (
                         f"{label}: node {record.node_id} attr {name!r}: value "
-                        f"{value} outside cell bounds "
-                        f"[{bounds.lo[name]}, {bounds.hi[name]}]"
+                        f"{value} outside cell bounds [{lo[index]}, {hi[index]}]"
                     )
         # 2. No false dismissals: every oracle contributor survives the
         # conservative cell-level semi-join.
-        cells_by_alias: Dict[str, list] = {alias: [] for alias in fmt.aliases}
-        nodes_by_alias: Dict[str, list] = {alias: [] for alias in fmt.aliases}
-        for record in obs.records:
-            values = {name: record.values[name] for name in fmt.join_attributes}
-            bounds = quantizer.cell_bounds(quantizer.encode(values))
-            for alias in fmt.aliases_of_flags(record.flags):
-                cells_by_alias[alias].append(bounds)
-                nodes_by_alias[alias].append(record.node_id)
-        survivors = conservative_semijoin(query, cells_by_alias)
+        rows = {
+            alias: np.flatnonzero([record.flags & fmt.alias_bit(alias) for record in records])
+            for alias in fmt.aliases
+        }
+        survivors = conservative_semijoin(query, bounds, rows)
+        carrying = {alias: {records[i].node_id for i in rows[alias]} for alias in fmt.aliases}
+        kept = {alias: {records[i].node_id for i in survivors[alias]} for alias in fmt.aliases}
         for combo in obs.oracle.combinations:
             for position, alias in enumerate(obs.oracle.aliases):
                 node_id = combo[position]
-                try:
-                    index = nodes_by_alias[alias].index(node_id)
-                except ValueError:
+                if node_id not in carrying[alias]:
                     return (
                         f"{label}: oracle match uses node {node_id} under "
                         f"alias {alias!r} but no record carries that alias"
                     )
-                if index not in survivors[alias]:
+                if node_id not in kept[alias]:
                     return (
                         f"{label}: false dismissal — node {node_id} "
                         f"(alias {alias!r}) joins in the oracle but its cell "

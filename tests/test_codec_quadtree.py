@@ -218,9 +218,10 @@ class TestFullPipeline:
         for _ in range(30):
             values = random_values(rng, quantizer)
             z = quantizer.encode(values)
-            bounds = quantizer.cell_bounds(z)
+            bounds = quantizer.cell_bounds([z])
             for name, value in values.items():
-                assert bounds.lo[name] <= value <= bounds.hi[name]
+                lo, hi = bounds[name]
+                assert lo[0] <= value <= hi[0]
             cells = quantizer.decode_cells(z)
             for dim in quantizer.dimensions:
                 assert cells[dim.name] == dim.cell_of(values[dim.name])

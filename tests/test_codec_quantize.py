@@ -1,5 +1,6 @@
 """Quantizer tests (Fig. 7 semantics)."""
 
+import numpy as np
 import pytest
 
 from repro.codec.quantize import UNBOUNDED_SENTINEL, QuantizedDimension, Quantizer
@@ -50,6 +51,25 @@ class TestDimension:
     def test_bounds_of_invalid_cell(self):
         with pytest.raises(CodecError):
             dim().bounds_of(16)
+        with pytest.raises(CodecError):
+            dim().bounds_of(np.array([3, -1]))
+
+    def test_bounds_of_cell_array_is_float_exact(self):
+        """Each cell's bounds are the scalar float operations, bit for bit."""
+        d = dim(lo=-10.0, hi=54.0, res=0.1)
+        expected = []
+        for cell in range(d.size):
+            lo = d.min_value + cell * d.resolution
+            hi = lo + d.resolution
+            expected.append(
+                (
+                    -UNBOUNDED_SENTINEL if cell == 0 else lo,
+                    UNBOUNDED_SENTINEL if cell == d.size - 1 else hi,
+                )
+            )
+        lo, hi = d.bounds_of(np.arange(d.size))
+        assert list(zip(lo.tolist(), hi.tolist())) == expected
+        assert d.bounds_of(7) == expected[7]
 
 
 class TestQuantizer:
@@ -69,9 +89,34 @@ class TestQuantizer:
 
     def test_cell_bounds_contain_value(self, quantizer):
         values = {"temp": 23.44, "x": 512.3, "y": 17.9}
-        bounds = quantizer.cell_bounds(quantizer.encode(values))
+        bounds = quantizer.cell_bounds([quantizer.encode(values)])
         for name, value in values.items():
-            assert bounds.lo[name] <= value <= bounds.hi[name]
+            lo, hi = bounds[name]
+            assert lo[0] <= value <= hi[0]
+
+    def test_cell_bounds_are_bounds_of_each_cell(self, quantizer):
+        """The array decode is the per-cell definition, boundaries included."""
+        zs = [
+            quantizer.encode(values)
+            for values in (
+                {"temp": -50.0, "x": 0.0, "y": 1e9},
+                {"temp": 23.44, "x": 512.3, "y": 17.9},
+                {"temp": 1e9, "x": -3.0, "y": 0.4},
+            )
+        ]
+        bounds = quantizer.cell_bounds(zs)
+        for index, z in enumerate(zs):
+            cells = quantizer.decode_cells(z)
+            for dimension in quantizer.dimensions:
+                lo, hi = bounds[dimension.name]
+                assert (lo[index], hi[index]) == dimension.bounds_of(cells[dimension.name])
+        assert bounds["temp"][0][0] == -UNBOUNDED_SENTINEL
+        assert bounds["y"][1][0] == UNBOUNDED_SENTINEL
+
+    def test_cell_bounds_of_no_cells(self, quantizer):
+        bounds = quantizer.cell_bounds([])
+        assert list(bounds) == ["temp", "x", "y"]
+        assert all(lo.shape == hi.shape == (0,) for lo, hi in bounds.values())
 
     def test_representative_within_cell(self, quantizer):
         values = {"temp": 23.44, "x": 512.3, "y": 17.9}

@@ -59,9 +59,12 @@ def test_collection_shrinks_under_slow_drift(setup):
 def test_filter_suppression_reported(setup):
     network, world, query = setup
     executor = IncrementalSensJoin(network, world, query, tree_seed=17)
-    executor.run_round(0.0)
+    first = executor.run_round(0.0)
     second = executor.run_round(60.0)
-    assert second.details["filter_suppressed"] >= 0
+    # Round 0 has no earlier broadcast to reuse; round 1 can reuse at most
+    # what round 0 broadcast.
+    assert first.details["filter_suppressed"] == 0
+    assert second.details["filter_suppressed"] <= first.details["filter_broadcasts"]
     assert "cache_bytes_max" in second.details
     assert second.details["cache_bytes_max"] > 0
 
@@ -230,3 +233,28 @@ def test_filter_frame_prices_against_the_last_broadcast(make_deployment):
     assert engine._filter_frame(3, fmt, frozenset(), tel) == DELTA_HEADER_BYTES
     assert engine._filter_frame(3, fmt, frozenset(), tel) is None
     assert engine.frames["suppressed"] == 2
+
+
+def test_frozen_round_suppresses_exactly_the_earlier_broadcasts(make_deployment):
+    """With nothing drifting, round 1 reuses every filter round 0 sent and
+    counts nothing for nodes that never broadcast; its final phase is round
+    0's, and its result is still exact."""
+    network, world = make_deployment(200, seed=5)
+    query = parse_query(
+        "SELECT A.hum, B.hum FROM sensors A, sensors B "
+        "WHERE A.temp - B.temp > 6.0 SAMPLE PERIOD 60"
+    )
+    executor = IncrementalSensJoin(network, world, query, tree_seed=5)
+    first = executor.run_round(0.0)
+    second = executor.run_round(60.0)
+    assert first.details["filter_broadcasts"] == 15
+    assert first.details["filter_suppressed"] == 0
+    assert second.details["filter_broadcasts"] == 0
+    assert second.details["filter_suppressed"] == 15
+    assert first.per_phase_transmissions()[PHASE_FINAL] == 16
+    assert second.per_phase_transmissions() == {PHASE_FINAL: 16}
+    reference = run_snapshot(
+        network, world, JoinQuery(query.select, query.relations, query.where, Once()),
+        "external-join", tree_seed=5, snapshot_time=60.0,
+    )
+    assert second.result.signature() == reference.result.signature()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.errors import EvaluationError, QueryError
 from repro.query import evaluate as evaluate_module
 from repro.query.evaluate import (
-    CellBounds,
     JoinResult,
     Row,
     _expand_exact,
@@ -144,49 +143,80 @@ class TestExactJoin:
 
 
 class TestConservativeSemijoin:
-    def cells_for(self, values, width=0.5):
-        return [
-            CellBounds({"temp": v - width / 2}, {"temp": v + width / 2}) for v in values
-        ]
+    @staticmethod
+    def cells_for(*value_lists, width=0.5):
+        """One temp cell of ``width`` around each value, the lists' cells one
+        after another: the shared bounds and each list's cell indices."""
+        values = np.array([v for values in value_lists for v in values], dtype=float)
+        bounds = {"temp": (values - width / 2, values + width / 2)}
+        starts = np.cumsum([0] + [len(values) for values in value_lists])
+        return bounds, [np.arange(start, start + len(v)) for start, v in zip(starts, value_lists)]
 
     def test_survivors_cover_exact_joiners(self):
         query = parse_query("SELECT A.temp FROM s A, s B WHERE A.temp - B.temp > 2 ONCE")
-        values = [0.0, 1.0, 3.5, 9.0]
-        survivors = conservative_semijoin(
-            query, {"A": self.cells_for(values), "B": self.cells_for(values)}
-        )
+        bounds, (rows,) = self.cells_for([0.0, 1.0, 3.5, 9.0])
+        survivors = conservative_semijoin(query, bounds, {"A": rows, "B": rows})
         # Exact joiners: A index 3 (9.0) joins B 0,1,2; A index 2 (3.5) joins B 0,1.
-        assert {2, 3} <= survivors["A"]
-        assert {0, 1} <= survivors["B"]
+        assert {2, 3} <= set(survivors["A"].tolist())
+        assert {0, 1} <= set(survivors["B"].tolist())
 
     def test_definitely_disjoint_pairs_pruned(self):
         query = parse_query("SELECT A.temp FROM s A, s B WHERE |A.temp - B.temp| < 1 ONCE")
-        survivors = conservative_semijoin(
-            query,
-            {"A": self.cells_for([0.0]), "B": self.cells_for([50.0])},
-        )
-        assert survivors["A"] == set() and survivors["B"] == set()
+        bounds, (rows_a, rows_b) = self.cells_for([0.0], [50.0])
+        survivors = conservative_semijoin(query, bounds, {"A": rows_a, "B": rows_b})
+        assert survivors["A"].tolist() == [] and survivors["B"].tolist() == []
 
     def test_empty_side_empty_everything(self):
         query = parse_query("SELECT A.temp FROM s A, s B WHERE A.temp > B.temp ONCE")
-        survivors = conservative_semijoin(query, {"A": self.cells_for([1.0]), "B": []})
-        assert survivors == {"A": set(), "B": set()}
+        bounds, (rows,) = self.cells_for([1.0])
+        survivors = conservative_semijoin(query, bounds, {"A": rows, "B": []})
+        assert {alias: cells.tolist() for alias, cells in survivors.items()} == {
+            "A": [],
+            "B": [],
+        }
 
     def test_single_relation_rejected(self):
         query = parse_query("SELECT temp FROM sensors ONCE")
         with pytest.raises(QueryError):
-            conservative_semijoin(query, {"sensors": []})
+            conservative_semijoin(query, {}, {"sensors": []})
 
     def test_three_way_semijoin(self):
         query = parse_query(
             "SELECT A.temp FROM s A, s B, s C "
             "WHERE A.temp - B.temp > 2 AND B.temp - C.temp > 2 ONCE"
         )
-        cells = self.cells_for([0.0, 3.0, 6.0], width=0.1)
-        survivors = conservative_semijoin(query, {"A": cells, "B": cells, "C": cells})
-        assert survivors["A"] == {2}
-        assert survivors["B"] == {1}
-        assert survivors["C"] == {0}
+        bounds, (rows,) = self.cells_for([0.0, 3.0, 6.0], width=0.1)
+        survivors = conservative_semijoin(query, bounds, {"A": rows, "B": rows, "C": rows})
+        assert survivors["A"].tolist() == [2]
+        assert survivors["B"].tolist() == [1]
+        assert survivors["C"].tolist() == [0]
+
+    def test_survivors_index_the_shared_cells(self):
+        """Survivors are the sorted subset of each alias's cell indices."""
+        query = parse_query("SELECT A.temp FROM s A, s B WHERE A.temp - B.temp > 2 ONCE")
+        bounds, _ = self.cells_for([9.0, 0.0, 5.0, 1.0])
+        survivors = conservative_semijoin(
+            query, bounds, {"A": np.array([0, 2]), "B": np.array([1, 3])}
+        )
+        assert survivors["A"].tolist() == [0, 2]
+        assert survivors["B"].tolist() == [1, 3]
+
+    def test_unbounded_product_keeps_the_pair(self):
+        """An unbounded quotient times a factor whose bound is exactly 0:
+        the product is unbounded, not NaN, so the pair survives."""
+        query = parse_query(
+            "SELECT A.temp FROM s A, s B "
+            "WHERE (A.temp - B.temp) * (A.hum / (A.hum - B.hum)) > 3 ONCE"
+        )
+        bounds = {
+            "temp": (np.array([20.0, 19.5]), np.array([20.5, 20.0])),
+            "hum": (np.array([10.0, 10.0]), np.array([10.5, 10.5])),
+        }
+        survivors = conservative_semijoin(query, bounds, {"A": [0], "B": [1]})
+        # A = (20.4, 10.3) and B = (19.6, 10.1) lie in the cells and join.
+        exact = (20.4 - 19.6) * (10.3 / (10.3 - 10.1))
+        assert exact > 3
+        assert survivors["A"].tolist() == [0] and survivors["B"].tolist() == [1]
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -203,13 +233,12 @@ class TestConservativeSemijoin:
         )
         rows_a, rows_b = make_rows(temps_a), make_rows(temps_b)
         exact = evaluate_join(query, {"A": rows_a, "B": rows_b})
-        cells_a = self.cells_for(temps_a, width)
-        cells_b = self.cells_for(temps_b, width)
-        survivors = conservative_semijoin(query, {"A": cells_a, "B": cells_b})
+        bounds, (cells_a, cells_b) = self.cells_for(temps_a, temps_b, width=width)
+        survivors = conservative_semijoin(query, bounds, {"A": cells_a, "B": cells_b})
         for node_id in exact.contributing_nodes("A"):
-            assert (node_id - 1) in survivors["A"]
+            assert cells_a[node_id - 1] in survivors["A"]
         for node_id in exact.contributing_nodes("B"):
-            assert (node_id - 1) in survivors["B"]
+            assert cells_b[node_id - 1] in survivors["B"]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.errors import EvaluationError, QueryError
@@ -107,8 +107,9 @@ def test_boolean_connectives():
         Or(f)
 
 
-def test_tribool_matches_masks():
-    """Scalar interval evaluation and the vectorised masks must agree."""
+def test_tribool_matches_possible():
+    """Scalar interval evaluation and the vectorised mask must agree, and
+    the mask of the negation is the complement of definitely-true."""
     predicate = And(
         Compare("<", Sub(A_TEMP, B_TEMP), Literal(1.0)),
         Compare(">", Add(A_TEMP, B_TEMP), Literal(0.0)),
@@ -125,19 +126,63 @@ def test_tribool_matches_masks():
             ("A", "temp"): (np.array([A.lo]), np.array([A.hi])),
             ("B", "temp"): (np.array([B.lo]), np.array([B.hi])),
         }
-        possible, definite = predicate.masks(env)
-        assert possible[0] == scalar.possible
-        assert definite[0] == scalar.definite
+        assert predicate.possible(env)[0] == scalar.possible
+        assert Not(predicate).possible(env)[0] == (not scalar.definite)
 
 
-def test_not_masks_swap_and_negate():
+def test_not_pushes_the_negation_onto_comparisons():
     predicate = Not(Compare("<", A_TEMP, Literal(0.0)))
     env = {("A", "temp"): (np.array([-1.0, 1.0, -1.0]), np.array([1.0, 2.0, -0.5]))}
-    possible, definite = predicate.masks(env)
     # Interval [-1,1]: maybe; [1,2]: definitely not < 0 -> NOT is TRUE;
     # [-1,-0.5]: definitely < 0 -> NOT is FALSE.
-    assert possible.tolist() == [True, True, False]
-    assert definite.tolist() == [False, True, False]
+    assert predicate.possible(env).tolist() == [True, True, False]
+    # NOT NOT is the comparison itself: possible unless definitely >= 0.
+    assert Not(predicate).possible(env).tolist() == [True, False, True]
+
+
+def test_negated_forms():
+    lt = Compare("<", A_TEMP, B_TEMP)
+    eq = Compare("=", A_TEMP, B_TEMP)
+    assert [Compare(op, A_TEMP, B_TEMP).negated().op for op in Compare.OPS] == [
+        ">=", ">", "<=", "<", "!=", "=",
+    ]
+    assert And(lt, eq).negated() == Or(lt.negated(), eq.negated())
+    assert Or(lt, eq).negated() == And(lt.negated(), eq.negated())
+    assert Not(lt).negated() is lt
+
+
+@pytest.mark.parametrize(
+    "zero, unbounded",
+    [((0.0, 1.0), (-math.inf, math.inf)), ((0.0, 0.0), (-math.inf, math.inf)),
+     ((-1.0, 0.0), (2.0, math.inf))],
+)
+def test_zero_times_unbounded_is_never_nan(zero, unbounded):
+    """0 * +-inf counts as 0 in both evaluators, so the bounds stay sound."""
+    product = Mul(A_TEMP, B_TEMP)
+    scalar = product.bounds({("A", "temp"): Interval(*zero), ("B", "temp"): Interval(*unbounded)})
+    env = {
+        ("A", "temp"): (np.array([zero[0]]), np.array([zero[1]])),
+        ("B", "temp"): (np.array([unbounded[0]]), np.array([unbounded[1]])),
+    }
+    lo, hi = product.bounds_arrays(env)
+    assert (lo[0], hi[0]) == (scalar.lo, scalar.hi)
+    assert not (math.isnan(scalar.lo) or math.isnan(scalar.hi))
+    corners = [a * b for a in zero for b in unbounded if not (a == 0 and math.isinf(b))]
+    assert scalar.lo == min(corners + [0.0]) and scalar.hi == max(corners + [0.0])
+
+
+def test_quotient_over_an_unbounded_denominator():
+    """1 / [4, inf] is [0, 0.25]; times [-inf, 3] it stays a bound, not NaN."""
+    quotient = Div(A_TEMP, B_TEMP)
+    env = {
+        ("A", "temp"): (np.array([-np.inf]), np.array([3.0])),
+        ("B", "temp"): (np.array([4.0]), np.array([np.inf])),
+    }
+    lo, hi = quotient.bounds_arrays(env)
+    scalar = quotient.bounds(
+        {("A", "temp"): Interval(-math.inf, 3.0), ("B", "temp"): Interval(4.0, math.inf)}
+    )
+    assert (lo[0], hi[0]) == (scalar.lo, scalar.hi) == (-math.inf, 0.75)
 
 
 # -- hypothesis: random expression trees, all modes agree -------------------
@@ -150,14 +195,31 @@ def numeric_expr(draw, depth=0):
         if leaf == "lit":
             return Literal(draw(st.floats(min_value=-100, max_value=100, allow_nan=False)))
         return Column(leaf, "temp")
-    op = draw(st.sampled_from(["add", "sub", "mul", "neg", "abs"]))
+    op = draw(st.sampled_from(["add", "sub", "mul", "div", "neg", "abs", "distance"]))
     if op == "neg":
         return Neg(draw(numeric_expr(depth=depth + 1)))
     if op == "abs":
         return Abs(draw(numeric_expr(depth=depth + 1)))
+    if op == "distance":
+        return Distance(*(draw(numeric_expr(depth=depth + 1)) for _ in range(4)))
     left = draw(numeric_expr(depth=depth + 1))
     right = draw(numeric_expr(depth=depth + 1))
-    return {"add": Add, "sub": Sub, "mul": Mul}[op](left, right)
+    return {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[op](left, right)
+
+
+def _subexpressions(expr):
+    """``expr`` and every numeric node below it."""
+    yield expr
+    if isinstance(expr, (Neg, Abs)):
+        children = [expr.operand]
+    elif isinstance(expr, Distance):
+        children = [expr.x1, expr.y1, expr.x2, expr.y2]
+    elif isinstance(expr, (Add, Sub, Mul, Div)):
+        children = [expr.left, expr.right]
+    else:
+        children = []
+    for child in children:
+        yield from _subexpressions(child)
 
 
 @given(
@@ -169,7 +231,12 @@ def numeric_expr(draw, depth=0):
 )
 def test_modes_agree_and_bounds_contain(expr, a, b, wa, wb):
     scalar = {("A", "temp"): a, ("B", "temp"): b}
-    exact = expr.evaluate(scalar)
+    try:
+        exact = expr.evaluate(scalar)
+    except EvaluationError:
+        assume(False)  # an exact zero denominator
+    # A near-zero denominator makes values whose squares overflow to inf.
+    assume(all(abs(part.evaluate(scalar)) < 1e100 for part in _subexpressions(expr)))
 
     # Vectorised exact evaluation agrees with scalar evaluation.
     arrays = {("A", "temp"): np.array([a]), ("B", "temp"): np.array([b])}

@@ -14,7 +14,9 @@ performance trajectory.  One run times four layers:
   deployments (bulk build, 3x3-cell range queries, churn moves) and the
   full adjacency build against its pinned dense-``numpy`` reference;
 * **query micros** — the base-station join's alias binding on a
-  1000 x 1000 self-join, against the pinned cross-product reference.
+  1000 x 1000 self-join, against the pinned cross-product reference, and
+  the join filter's blocked semi-join of 600 x 600 cells under paper-600's
+  3/5-ratio predicate, against the pinned unblocked pass.
 
 End-to-end query timing is not part of this suite: it is the repo's
 benchmark, declared in ``BENCHMARK.json`` and run by
@@ -378,7 +380,15 @@ def _scale_benches() -> List[Bench]:
 def _query_benches() -> List[Bench]:
     import numpy as np
 
-    from ..query.evaluate import Row, _expand_exact, _reference_expand_exact
+    from ..codec.quantize import QuantizedDimension
+    from ..data.sensors import standard_catalog
+    from ..query.evaluate import (
+        Row,
+        _expand_exact,
+        _reference_expand_exact,
+        _reference_semijoin_two_way,
+        conservative_semijoin,
+    )
     from ..query.parser import parse_query
 
     # dense-1000's base-station join: 1000 x 1000 tuples, 35 % of pairs match.
@@ -386,6 +396,20 @@ def _query_benches() -> List[Bench]:
     rows = [Row(node_id, {"temp": float(t)}) for node_id, t in enumerate(temps, start=1)]
     query = parse_query("SELECT A.temp, B.temp FROM s A, s B WHERE A.temp - B.temp > 2 ONCE")
     working = {"A": rows, "B": rows}
+
+    # paper-600's 3/5-ratio filter build: 600 collected cells over temp, x
+    # and y, each playing both aliases of the self-join.
+    rng = np.random.default_rng(600)
+    bounds = {}
+    for spec in standard_catalog().subset(("temp", "x", "y")):
+        dimension = QuantizedDimension.from_spec(spec)
+        values = rng.uniform(spec.min_value, spec.max_value, 600)
+        bounds[spec.name] = dimension.bounds_of(np.array([dimension.cell_of(v) for v in values]))
+    cells = {"A": np.arange(600), "B": np.arange(600)}
+    filter_query = parse_query(
+        "SELECT A.temp, B.temp FROM s A, s B "
+        "WHERE A.temp - B.temp > 20 AND distance(A.x, A.y, B.x, B.y) > 100 ONCE"
+    )
     return [
         Bench(
             "query",
@@ -393,7 +417,14 @@ def _query_benches() -> List[Bench]:
             1,
             lambda: _expand_exact(query, query.aliases, working),
             lambda: _reference_expand_exact(query, query.aliases, working),
-        )
+        ),
+        Bench(
+            "query",
+            "semijoin_n600",
+            1,
+            lambda: conservative_semijoin(filter_query, bounds, cells),
+            lambda: _reference_semijoin_two_way(filter_query, bounds, cells),
+        ),
     ]
 
 

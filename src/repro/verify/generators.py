@@ -134,6 +134,13 @@ _SELF_TEMPLATES: Tuple[QueryTemplate, ...] = (
         "AND (|A.hum - B.hum| < 20.0 OR NOT (distance(A.x, A.y, B.x, B.y) <= 80.0)) {mode}",
         lo=0.5, hi=8.0,
     ),
+    # ``distance < d`` reads the distance's lower bound; every template
+    # above reads only its upper bound.
+    QueryTemplate(
+        "SELECT A.temp, B.temp FROM sensors A, sensors B "
+        "WHERE A.temp - B.temp > {t:.3f} AND distance(A.x, A.y, B.x, B.y) < 80.0 {mode}",
+        lo=0.5, hi=8.0,
+    ),
 )
 
 #: Heterogeneous templates over the ``two_relations`` split.

@@ -56,6 +56,7 @@ class TestSuite:
             "codec.quadtree_decode",
             "kernel.events_depth64",
             "query.expand_exact_n1000",
+            "query.semijoin_n600",
         ):
             assert required in keys
 
@@ -69,6 +70,7 @@ class TestSuite:
             "codec.quadtree_size",
             "codec.quadtree_decode",
             "query.expand_exact_n1000",
+            "query.semijoin_n600",
         ):
             assert by_key[key].reference is not None, key
 

@@ -15,6 +15,7 @@ from repro.query.evaluate import (
     Row,
     _expand_exact,
     _reference_expand_exact,
+    _reference_semijoin_two_way,
     conservative_semijoin,
     evaluate_join,
 )
@@ -403,6 +404,56 @@ def test_blockwise_binder_equals_reference(block_elements, case):
         expected = set(np.unique(node_combos[:, position]).tolist())
         assert got.contributing_nodes(alias) == expected
     assert got.all_contributing_nodes() == set(np.unique(node_combos).tolist())
+
+
+#: Two-way join predicates over temp, x and y: paper-600's 3/5-ratio one,
+#: both sides of ``distance``, every comparison, NOT, OR and arithmetic.
+SEMIJOIN_PREDICATES = (
+    "A.temp - B.temp > 20 AND distance(A.x, A.y, B.x, B.y) > 100",
+    "A.temp - B.temp > 2 AND distance(A.x, A.y, B.x, B.y) < 80",
+    "|A.temp - B.temp| <= 1.5",
+    "NOT (A.temp - B.temp <= 3) AND (|A.x - B.x| < 20 OR NOT (distance(A.x, A.y, B.x, B.y) <= 80))",
+    "A.temp = B.temp OR A.x != B.x",
+    "-(A.x) + B.y >= A.temp * B.temp / (B.y - A.y)",
+)
+
+
+@st.composite
+def semijoin_cases(draw):
+    """A predicate, shared cells over temp, x and y, and 0-300 rows per
+    alias into them.  Rows are drawn with replacement from at most 40
+    cells, so they repeat; cell bounds sit on a 0.1 grid, so they tie, and
+    some are widened to the quantizer's boundary sentinel."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = draw(st.integers(1, 40))
+    bounds = {}
+    for attr, scale in (("temp", 10.0), ("x", 100.0), ("y", 100.0)):
+        lo = np.round(rng.uniform(-scale, scale, cells), 1)
+        hi = lo + rng.choice([0.0, 0.5, 1.0], cells)
+        lo[rng.random(cells) < 0.1] = -1e30
+        hi[rng.random(cells) < 0.1] = 1e30
+        bounds[attr] = (lo, hi)
+    rows = {
+        alias: rng.integers(0, cells, draw(st.integers(0, 300))).astype(np.intp)
+        for alias in ("A", "B")
+    }
+    return draw(st.sampled_from(SEMIJOIN_PREDICATES)), bounds, rows
+
+
+@pytest.mark.parametrize("block_elements", [1, 7, 1000])
+@settings(deadline=None, max_examples=60)
+@given(case=semijoin_cases())
+def test_blockwise_semijoin_equals_reference(block_elements, case):
+    """One-row blocks, ragged last blocks and multi-row blocks all keep the
+    unblocked reference's survivors, array for array."""
+    where, bounds, rows = case
+    query = parse_query(f"SELECT A.temp FROM s A, s B WHERE {where} ONCE")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate_module, "_SEMIJOIN_BLOCK_ELEMENTS", block_elements)
+        got = conservative_semijoin(query, bounds, rows)
+    want = _reference_semijoin_two_way(query, bounds, rows)
+    for alias in query.aliases:
+        assert _same_bits(got[alias], want[alias]), alias
 
 
 class TestBinderEdges:

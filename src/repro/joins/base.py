@@ -18,7 +18,7 @@ two-bit relation flags ('10' = A, '01' = B, '11' = both, §V-C).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .. import constants
 from ..codec.quadtree import FlaggedPoint, QuadtreeCodec
@@ -121,22 +121,19 @@ class TupleFormat:
         """Wire size of ``count`` complete tuples (multiset, §IV-B)."""
         return count * self.full_tuple_bytes
 
-    def encoded_points_bytes(self, points: Sequence[FlaggedPoint] | frozenset) -> int:
+    def encoded_points_bytes(self, points: FrozenSet[FlaggedPoint]) -> int:
         """Wire size of a point set under the quadtree representation.
 
         Results are memoized per frozenset (equal sets hit the same entry
-        even as distinct objects); mutable sequences are sized directly.
+        even as distinct objects).
         """
-        if isinstance(points, frozenset):
-            cached = self._size_memo.get(points)
-            if cached is None:
-                if len(self._size_memo) >= 4096:  # long incremental runs stay bounded
-                    self._size_memo.clear()
-                cached = (self.codec.encoded_size_bits(points) + 7) // 8
-                self._size_memo[points] = cached
-            return cached
-        bits = self.codec.encoded_size_bits(points)
-        return (bits + 7) // 8
+        cached = self._size_memo.get(points)
+        if cached is None:
+            if len(self._size_memo) >= 4096:  # long incremental runs stay bounded
+                self._size_memo.clear()
+            cached = (self.codec.encoded_size_bits(points) + 7) // 8
+            self._size_memo[points] = cached
+        return cached
 
     # -- flags -------------------------------------------------------------------
 
@@ -227,14 +224,13 @@ def evaluate_arrived(
     """The exact join of ``query`` over complete tuples, under their alias flags.
 
     Any query sharing ``fmt``'s aliases and flag bits can be evaluated over
-    the same records.  Selections were applied at acquisition time, hence
-    ``apply_selections=False``.
+    the same records.  Selections were applied at acquisition time.
     """
     tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
     for record in records:
         for alias in fmt.aliases_of_flags(record.flags):
             tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
-    return evaluate_join(query, tuples_by_alias, apply_selections=False)
+    return evaluate_join(query, tuples_by_alias)
 
 
 def oracle_result(context: "ExecutionContext") -> JoinResult:

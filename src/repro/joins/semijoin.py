@@ -93,9 +93,7 @@ class SemiJoinBroadcast(JoinAlgorithm):
         # values on both sides) and ships its complete tuple iff it joins.
         query = context.query
         joining = evaluate_join(
-            query,
-            {filter_alias: filter_rows, other_alias: candidate_rows},
-            apply_selections=False,
+            query, {filter_alias: filter_rows, other_alias: candidate_rows}
         ).contributing_nodes(other_alias)
         matching = [row for row in candidate_rows if row.node_id in joining]
         convergecast(
@@ -105,9 +103,7 @@ class SemiJoinBroadcast(JoinAlgorithm):
             PHASE_CANDIDATES,
         )
 
-        result = evaluate_join(
-            query, {filter_alias: filter_rows, other_alias: matching}, apply_selections=False
-        )
+        result = evaluate_join(query, {filter_alias: filter_rows, other_alias: matching})
 
         # Response-time estimate: three sequential epoch-scheduled passes.
         hop = channel.hop_latency_s

@@ -72,12 +72,7 @@ def _phase_sort_key(phase: str) -> Tuple[int, str]:
 
 
 def _phases_in(reg: MetricsRegistry) -> List[str]:
-    phases = set()
-    for inst in reg:
-        labels = dict(inst.labels)
-        if "phase" in labels:
-            phases.add(labels["phase"])
-    return sorted(phases, key=_phase_sort_key)
+    return sorted(reconcile.phases_in(reg), key=_phase_sort_key)
 
 
 def _format_table(header: List[str], rows: List[List[str]]) -> str:

@@ -6,13 +6,6 @@ Two evaluators live here, both driven by the same query AST:
     **Exact** n-way join over full tuples (raw sensor values).  Used for the
     final result computation of both SENS-Join and the external join, by
     every baseline, by the lossless oracle and by threshold calibration.
-    It is a nested-loop join that binds one alias at a time, in FROM
-    order.  Each join conjunct fires at the first step where every alias
-    it references is bound (early pruning).  A step tests blocks of the
-    surviving partial combinations against all of the new alias's tuples
-    at once through numpy broadcasting, so it never materialises the
-    cross product: the working memory of a step is bounded by
-    :data:`_BLOCK_ELEMENTS`, whatever the relation sizes.
 
 :func:`conservative_semijoin`
     **Conservative** n-way semi-join over quantization-cell intervals.  Used
@@ -21,10 +14,20 @@ Two evaluators live here, both driven by the same query AST:
     join predicates (interval semantics — see :mod:`repro.query.intervals`).
     It reads the cells as per-attribute ``(lo, hi)`` arrays and returns,
     per alias, the surviving cells as an index array: exactly the N-way
-    semi-join reduction [10] of the quantized relations.  Two aliases are
-    tested in cache-sized row blocks (:data:`_SEMIJOIN_BLOCK_ELEMENTS`).
+    semi-join reduction [10] of the quantized relations.
 
-Both bind aliases through the conjunct schedule :func:`_conjunct_schedule`.
+Both run one nested-loop binder, :func:`_bind`, in one of two modes.  It
+binds one alias at a time, in FROM order, and each join conjunct fires at
+the first step where every alias it references is bound (early pruning,
+:func:`_conjunct_schedule`).  A step tests blocks of the surviving partial
+combinations against all of the new alias's rows at once through numpy
+broadcasting, so it never materialises the cross product.  The exact join
+masks pairs with :meth:`Predicate.values` in blocks of at most
+:data:`_BLOCK_ELEMENTS` pairs, which bounds a step's working memory whatever
+the relation sizes.  The filter masks them with :meth:`Predicate.possible`
+in cache-sized blocks of :data:`_SEMIJOIN_BLOCK_ELEMENTS`, and its last step
+only marks which partial combinations and which rows take part in a pair,
+so a two-alias filter builds no pair at all.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import EvaluationError, QueryError
+from ..errors import QueryError
 from .expressions import Aggregate, ColumnRef, Expression, Predicate
 from .query import JoinQuery
 
@@ -221,10 +224,98 @@ def _conjunct_schedule(
     return schedule
 
 
+def _bind(
+    query: JoinQuery,
+    aliases: Sequence[str],
+    counts: Sequence[int],
+    columns: Mapping[ColumnRef, np.ndarray],
+    test: str,
+    block_elements: int,
+    reduce_last: bool = False,
+) -> np.ndarray | List[np.ndarray]:
+    """Bind ``aliases`` in FROM order and keep the combinations that pass.
+
+    Alias k has ``counts[k]`` rows.  ``columns`` holds every join column
+    with its rows along the last axis: values of shape ``(n,)`` for
+    ``test="values"``, or stacked cell bounds of shape ``(2, n)`` for
+    ``test="possible"``, where the two rows unpack as ``(lo, hi)``.
+    ``test`` names the :class:`Predicate` method that masks pairs.
+
+    Binding alias k with n rows splits the P partial combinations that
+    survive steps 1..k-1 into blocks of at most ``block_elements // n``
+    rows.  Each bound column is gathered over the partial combinations once
+    per step and sliced to ``(rows, 1)`` per block, and each column of
+    alias k is viewed as ``(1, n)`` (both behind the ``(lo, hi)`` axis, if
+    any), so every conjunct that fires at step k masks the block's
+    ``(rows, n)`` pairs by broadcasting.  The row-major flat indices of the
+    ANDed mask are partial-major and tuple-minor, so one ``divmod`` by n
+    reads off the surviving pairs in nested-loop order.  A step that fires
+    no conjunct pairs every partial combination with every row.
+
+    Returns the ``(M, len(aliases))`` int array of passing combinations, as
+    row indices in nested-loop order: by the first alias's index, then the
+    second's, and so on.  With ``reduce_last`` the last step builds no
+    pairs.  It ORs each block's ``any(axis=1)`` into a mask of the partial
+    combinations that pair with some row and its ``any(axis=0)`` into a mask
+    of the rows that pair with some partial combination, and the result is,
+    per alias, the mask of its rows that occur in a passing combination.
+    """
+    schedule = _conjunct_schedule(query, aliases)
+    combos = np.zeros((1, 0), dtype=int)  # one empty combination
+    for step, (alias, count) in enumerate(zip(aliases, counts), start=1):
+        if count == 0:
+            if reduce_last:
+                return [np.zeros(n, dtype=bool) for n in counts]
+            return np.zeros((0, len(aliases)), dtype=int)
+        conjuncts = [conjunct for fire_step, conjunct in schedule if fire_step == step]
+        reduce = reduce_last and step == len(aliases)
+        partial = combos.shape[0]
+        refs = {ref for conjunct in conjuncts for ref in conjunct.columns()}
+        masks = [getattr(conjunct, test) for conjunct in conjuncts]
+        if partial == 0:
+            # Like the reference, still evaluate the step over no pairs,
+            # where only a constant zero denominator raises.
+            for mask_of in masks:
+                mask_of({ref: columns[ref][..., :0] for ref in refs})
+        env: Dict[ColumnRef, np.ndarray] = {}
+        gathered: Dict[ColumnRef, np.ndarray] = {}
+        for ref in refs:
+            if ref[0] == alias:
+                env[ref] = columns[ref][..., None, :]
+            else:
+                gathered[ref] = np.take(columns[ref], combos[:, aliases.index(ref[0])], axis=-1)
+        block_rows = max(1, block_elements // count)
+        hits = [np.zeros(0, dtype=np.intp)]
+        partial_hit = np.zeros(partial, dtype=bool)
+        row_hit = np.zeros(count, dtype=bool)
+        for start in range(0, partial, block_rows):
+            stop = min(start + block_rows, partial)
+            for ref, column in gathered.items():
+                env[ref] = column[..., start:stop, None]
+            mask = np.ones((stop - start, count), dtype=bool)
+            for mask_of in masks:
+                mask &= mask_of(env)
+            if reduce:
+                partial_hit[start:stop] = mask.any(axis=1)
+                row_hit |= mask.any(axis=0)
+            else:
+                hits.append(np.flatnonzero(mask) + start * count)
+        if reduce:
+            keep = [np.zeros(n, dtype=bool) for n in counts[:-1]]
+            for position, kept in enumerate(keep):
+                kept[combos[partial_hit, position]] = True
+            return keep + [row_hit]
+        partial_index, tuple_index = np.divmod(np.concatenate(hits), count)
+        bound = np.empty((len(partial_index), step), dtype=int)
+        bound[:, :-1] = combos[partial_index]
+        bound[:, -1] = tuple_index
+        combos = bound
+    return combos
+
+
 def evaluate_join(
     query: JoinQuery,
     tuples_by_alias: Mapping[str, Sequence[Row]],
-    apply_selections: bool = True,
 ) -> JoinResult:
     """Exact n-way join; see the module docstring.
 
@@ -234,26 +325,13 @@ def evaluate_join(
         The bound query; must have at least one relation.
     tuples_by_alias:
         The candidate tuples per alias (full tuples — every attribute the
-        query references must be present).
-    apply_selections:
-        Apply per-alias selection predicates here.  The protocols apply
-        them at the nodes already, so they pass ``False``; callers feeding
-        raw snapshots leave the default.
+        query references must be present), already selected: the nodes
+        apply each alias's selection predicates before they send a tuple
+        (:func:`repro.joins.base.node_tuple`), so only the join conjuncts
+        are evaluated here.
     """
     aliases = query.aliases
-    working: Dict[str, List[Row]] = {}
-    for alias in aliases:
-        rows = list(tuples_by_alias.get(alias, ()))
-        if apply_selections:
-            for predicate in query.selection_predicates(alias):
-                rows = [
-                    row
-                    for row in rows
-                    if predicate.evaluate(
-                        {(alias, name): value for name, value in row.values.items()}
-                    )
-                ]
-        working[alias] = rows
+    working = {alias: list(tuples_by_alias.get(alias, ())) for alias in aliases}
 
     combos = _expand_exact(query, aliases, working)
     match_count = combos.shape[0]
@@ -311,16 +389,8 @@ def _expand_exact(
     """Index combinations satisfying every join conjunct, shape (M, n).
 
     Row ``i`` holds one match as row indices into ``working``, in FROM
-    order, and the rows come in nested-loop order: by the first alias's
-    index, then the second's, and so on.
-
-    Binding alias k with n tuples splits the P partial combinations that
-    survive steps 1..k-1 into blocks of at most ``_BLOCK_ELEMENTS // n``
-    rows.  In a block every bound column is a ``(rows, 1)`` gather and
-    every column of alias k a ``(1, n)`` view, so each conjunct that fires
-    at step k yields a ``(rows, n)`` mask by broadcasting.  The row-major
-    flat indices of the ANDed mask are partial-major and tuple-minor, so
-    one ``divmod`` by n reads off the surviving pairs in nested-loop order.
+    order, and the rows come in nested-loop order.  :func:`_bind` tests the
+    rows' values in blocks of at most ``_BLOCK_ELEMENTS`` pairs.
 
     The result is :func:`_reference_expand_exact`'s array for array:
     broadcasting only changes how operands are addressed, so every pair
@@ -329,44 +399,13 @@ def _expand_exact(
     :class:`EvaluationError` exactly when the reference's does.  Only the
     conjunct the message names may differ, when several would raise.
     """
-    schedule = _conjunct_schedule(query, aliases)
-    columns: Dict[ColumnRef, np.ndarray] = {}
-    combos = np.zeros((1, 0), dtype=int)  # one empty combination
-    for step, alias in enumerate(aliases, start=1):
-        rows = working[alias]
-        count = len(rows)
-        if count == 0:
-            return np.zeros((0, len(aliases)), dtype=int)
-        for attr in query.join_attributes(alias):
-            columns[(alias, attr)] = np.array([row.values[attr] for row in rows], dtype=float)
-        conjuncts = [conjunct for fire_step, conjunct in schedule if fire_step == step]
-        refs = {ref for conjunct in conjuncts for ref in conjunct.columns()}
-        partial = combos.shape[0]
-        if partial == 0:
-            # Like the reference, still evaluate the step over no pairs,
-            # where only a constant zero denominator raises.
-            for conjunct in conjuncts:
-                conjunct.values({ref: np.zeros(0) for ref in refs})
-        block_rows = max(1, _BLOCK_ELEMENTS // count)
-        hits = [np.zeros(0, dtype=np.intp)]
-        for start in range(0, partial, block_rows):
-            block = combos[start : start + block_rows]
-            env: Dict[ColumnRef, np.ndarray] = {}
-            for ref in refs:
-                if ref[0] == alias:
-                    env[ref] = columns[ref][None, :]
-                else:
-                    env[ref] = columns[ref][block[:, aliases.index(ref[0])], None]
-            mask = np.ones((block.shape[0], count), dtype=bool)
-            for conjunct in conjuncts:
-                mask &= conjunct.values(env)
-            hits.append(np.flatnonzero(mask) + start * count)
-        partial_index, tuple_index = np.divmod(np.concatenate(hits), count)
-        bound = np.empty((len(partial_index), step), dtype=int)
-        bound[:, :-1] = combos[partial_index]
-        bound[:, -1] = tuple_index
-        combos = bound
-    return combos
+    columns = {
+        (alias, attr): np.array([row.values[attr] for row in working[alias]], dtype=float)
+        for alias in aliases
+        for attr in query.join_attributes(alias)
+    }
+    counts = [len(working[alias]) for alias in aliases]
+    return _bind(query, aliases, counts, columns, "values", _BLOCK_ELEMENTS)
 
 
 def _reference_expand_exact(
@@ -432,7 +471,7 @@ def conservative_semijoin(
     ``bounds`` holds one sequence of cells
     (:meth:`repro.codec.quantize.Quantizer.cell_bounds`); ``rows[alias]``
     indexes the cells that play ``alias``.  The result gives, per alias,
-    the sorted subset of ``rows[alias]`` that survives.
+    the subset of ``rows[alias]`` that survives, in its order.
 
     A cell of alias X survives iff there is a combination of cells (one per
     other alias) such that **every** join predicate *possibly* holds under
@@ -440,17 +479,25 @@ def conservative_semijoin(
     t1..tn join, then their cells form a possibly-joining combination, so
     each of their cells survives.
 
-    The two-alias case (every experiment in the paper) tests cache-sized
-    blocks of one alias's cells against all of the other's without
-    materialising combinations.
+    :func:`_bind` tests blocks of at most ``_SEMIJOIN_BLOCK_ELEMENTS`` cell
+    pairs and reduces its last step to survivor masks, so a two-alias
+    filter (every experiment in the paper) materialises no combination, and
+    an n-alias one only those of its first n-1 aliases.
     """
     aliases = query.aliases
     if len(aliases) < 2:
         raise QueryError("conservative_semijoin needs at least two relations")
     rows = {alias: np.asarray(rows.get(alias, ()), dtype=np.intp) for alias in aliases}
-    if len(aliases) == 2:
-        return _semijoin_two_way(query, bounds, rows)
-    return _semijoin_n_way(query, bounds, rows)
+    columns = {
+        (alias, attr): np.array([side[rows[alias]] for side in bounds[attr]])
+        for alias in aliases
+        for attr in query.join_attributes(alias)
+    }
+    counts = [len(rows[alias]) for alias in aliases]
+    keep = _bind(
+        query, aliases, counts, columns, "possible", _SEMIJOIN_BLOCK_ELEMENTS, reduce_last=True
+    )
+    return {alias: rows[alias][mask] for alias, mask in zip(aliases, keep)}
 
 
 #: Most cell pairs one semi-join block tests at once: 2**15, sized for the
@@ -461,46 +508,6 @@ def conservative_semijoin(
 #: in again on every call unless an earlier, larger array has raised its
 #: trim threshold.
 _SEMIJOIN_BLOCK_ELEMENTS = 1 << 15
-
-
-def _semijoin_two_way(
-    query: JoinQuery, bounds: CellArrays, rows: Mapping[str, np.ndarray]
-) -> Dict[str, np.ndarray]:
-    """Blocks of A's cells against all of B's cells.
-
-    A block of at most ``_SEMIJOIN_BLOCK_ELEMENTS // len(B)`` rows gathers
-    A's columns as ``(rows, 1)`` slices and B's as ``(1, len(B))`` arrays,
-    so every conjunct gives the block's ``(rows, len(B))`` possible-mask by
-    broadcasting.  A row survives iff its mask row has a hit, and a B cell
-    iff its column has one in any block.  Every pair gets the same IEEE
-    operations as in :func:`_reference_semijoin_two_way`, so the survivors
-    are the same.
-    """
-    alias_a, alias_b = query.aliases
-    rows_a, rows_b = rows[alias_a], rows[alias_b]
-    if not len(rows_a) or not len(rows_b):
-        return {alias_a: rows_a[:0], alias_b: rows_b[:0]}
-    columns_a = {
-        (alias_a, attr): (bounds[attr][0][rows_a, None], bounds[attr][1][rows_a, None])
-        for attr in query.join_attributes(alias_a)
-    }
-    env: Dict[ColumnRef, Tuple[np.ndarray, np.ndarray]] = {
-        (alias_b, attr): (bounds[attr][0][None, rows_b], bounds[attr][1][None, rows_b])
-        for attr in query.join_attributes(alias_b)
-    }
-    survives_a = np.zeros(len(rows_a), dtype=bool)
-    survives_b = np.zeros(len(rows_b), dtype=bool)
-    block_rows = max(1, _SEMIJOIN_BLOCK_ELEMENTS // len(rows_b))
-    for start in range(0, len(rows_a), block_rows):
-        stop = start + block_rows
-        for ref, (lo, hi) in columns_a.items():
-            env[ref] = (lo[start:stop], hi[start:stop])
-        possible = np.ones((min(stop, len(rows_a)) - start, len(rows_b)), dtype=bool)
-        for conjunct in query.join_predicates:
-            possible &= conjunct.possible(env)
-        survives_a[start:stop] = possible.any(axis=1)
-        survives_b |= possible.any(axis=0)
-    return {alias_a: rows_a[survives_a], alias_b: rows_b[survives_b]}
 
 
 def _reference_semijoin_two_way(
@@ -523,43 +530,3 @@ def _reference_semijoin_two_way(
     for conjunct in query.join_predicates:
         possible &= conjunct.possible(env)
     return {alias_a: rows_a[possible.any(axis=1)], alias_b: rows_b[possible.any(axis=0)]}
-
-
-def _semijoin_n_way(
-    query: JoinQuery,
-    bounds: CellArrays,
-    rows: Mapping[str, np.ndarray],
-    max_combinations: int = 5_000_000,
-) -> Dict[str, np.ndarray]:
-    """General case: incremental binding with possible-mask pruning."""
-    aliases = query.aliases
-    schedule = _conjunct_schedule(query, aliases)
-    combos = np.zeros((1, 0), dtype=np.intp)
-    for step, alias in enumerate(aliases, start=1):
-        count = len(rows[alias])
-        if count == 0:
-            return {alias: rows[alias][:0] for alias in aliases}
-        partial = combos.shape[0]
-        if partial * count > max_combinations:
-            raise EvaluationError(
-                f"conservative n-way semi-join would expand to "
-                f"{partial * count} combinations (> {max_combinations}); "
-                "reduce the relations or tighten the predicates"
-            )
-        # Every partial combination x every cell of this alias; a
-        # combination holds cell indices into ``bounds``.
-        new_combos = np.empty((partial * count, step), dtype=np.intp)
-        new_combos[:, :-1] = np.repeat(combos, count, axis=0)
-        new_combos[:, -1] = np.tile(rows[alias], partial)
-        combos = new_combos
-        conjuncts = [conjunct for fire_step, conjunct in schedule if fire_step == step]
-        env: Dict[ColumnRef, Tuple[np.ndarray, np.ndarray]] = {}
-        for ref_alias, attr in {ref for conjunct in conjuncts for ref in conjunct.columns()}:
-            lo, hi = bounds[attr]
-            cells = combos[:, aliases.index(ref_alias)]
-            env[(ref_alias, attr)] = (lo[cells], hi[cells])
-        mask = np.ones(len(combos), dtype=bool)
-        for conjunct in conjuncts:
-            mask &= conjunct.possible(env)
-        combos = combos[mask]
-    return {alias: np.unique(combos[:, position]) for position, alias in enumerate(aliases)}

@@ -118,7 +118,7 @@ def test_acquire_respects_selections(small_world):
 
 
 def test_encoded_points_bytes_matches_codec(fmt):
-    points = [(3, 0), (3, 5), (1, 99)]
+    points = frozenset([(3, 0), (3, 5), (1, 99)])
     expected = (fmt.codec.encoded_size_bits(points) + 7) // 8
     assert fmt.encoded_points_bytes(points) == expected
 

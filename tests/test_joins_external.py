@@ -26,7 +26,7 @@ def test_result_matches_direct_evaluation(small_network, small_world, tail_query
         record, flags = node_tuple(fmt, node_id)
         if record:
             rows.append(Row(node_id, dict(record.values)))
-    direct = evaluate_join(query, {"A": rows, "B": rows}, apply_selections=False)
+    direct = evaluate_join(query, {"A": rows, "B": rows})
     assert outcome.result.signature() == direct.signature()
 
 

@@ -63,7 +63,7 @@ def test_filter_has_no_false_negatives(setup):
     filter_flags = {}
     for flags, z in join_filter:
         filter_flags[z] = filter_flags.get(z, 0) | flags
-    exact = evaluate_join(query, {"A": rows, "B": rows}, apply_selections=False)
+    exact = evaluate_join(query, {"A": rows, "B": rows})
     rows_by_id = {row.node_id: row for row in rows}
     for alias in ("A", "B"):
         bit = fmt.alias_bit(alias)

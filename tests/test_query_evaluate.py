@@ -55,17 +55,6 @@ class TestExactJoin:
         result = evaluate_join(query, {"A": rows, "B": rows})
         assert result.rows == [{"diff": 4.0}]
 
-    def test_selection_predicates_applied(self):
-        query = parse_query(
-            "SELECT A.temp FROM s A, s B WHERE A.temp > 4 AND A.temp - B.temp > 0 ONCE"
-        )
-        rows = make_rows([1.0, 5.0])
-        with_selection = evaluate_join(query, {"A": rows, "B": rows})
-        without = evaluate_join(query, {"A": rows, "B": rows}, apply_selections=False)
-        assert with_selection.match_count == 1  # only A=5 passes; joins B=1
-        # Without the A.temp>4 selection the cross pairs with diff>0 remain.
-        assert without.match_count >= with_selection.match_count
-
     def test_empty_relation_empty_result(self):
         query = parse_query("SELECT A.temp FROM s A, s B WHERE A.temp > B.temp ONCE")
         result = evaluate_join(query, {"A": [], "B": make_rows([1.0])})
@@ -191,6 +180,19 @@ class TestConservativeSemijoin:
         assert survivors["A"].tolist() == [2]
         assert survivors["B"].tolist() == [1]
         assert survivors["C"].tolist() == [0]
+
+    def test_three_way_needs_no_combination_budget(self):
+        """180 cells per alias under a predicate that holds everywhere:
+        all 180**3 (5.8M) combinations possibly join, and every cell
+        survives without any of them being built."""
+        query = parse_query(
+            "SELECT A.temp FROM s A, s B, s C "
+            "WHERE A.temp - B.temp < 100 AND B.temp - C.temp < 100 ONCE"
+        )
+        bounds, (rows,) = self.cells_for(np.linspace(-10.0, 10.0, 180))
+        survivors = conservative_semijoin(query, bounds, {"A": rows, "B": rows, "C": rows})
+        for alias in query.aliases:
+            assert survivors[alias].tolist() == rows.tolist(), alias
 
     def test_survivors_index_the_shared_cells(self):
         """Survivors are the sorted subset of each alias's cell indices."""
@@ -383,9 +385,9 @@ def test_blockwise_binder_equals_reference(block_elements, case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluate_module, "_BLOCK_ELEMENTS", block_elements)
         got_combos = _outcome(lambda: _expand_exact(query, query.aliases, tuples))
-        got = _outcome(lambda: evaluate_join(query, tuples, apply_selections=False))
+        got = _outcome(lambda: evaluate_join(query, tuples))
         patch.setattr(evaluate_module, "_expand_exact", _reference_expand_exact)
-        want = _outcome(lambda: evaluate_join(query, tuples, apply_selections=False))
+        want = _outcome(lambda: evaluate_join(query, tuples))
     want_combos = _outcome(lambda: _reference_expand_exact(query, query.aliases, tuples))
     if want_combos is EvaluationError or got_combos is EvaluationError:
         assert got_combos is want_combos
@@ -417,13 +419,27 @@ SEMIJOIN_PREDICATES = (
     "-(A.x) + B.y >= A.temp * B.temp / (B.y - A.y)",
 )
 
+#: Three-way join predicates: generality's chain, conjuncts that fire at
+#: the second step, at the third or at both, one over all three aliases
+#: (nothing fires at the second step), and one that leaves C unconstrained.
+THREE_WAY_PREDICATES = (
+    "A.temp - B.temp > 2 AND B.temp - C.temp > 2",
+    "A.temp - B.temp > 20 AND distance(A.x, A.y, C.x, C.y) > 100",
+    "|A.temp - B.temp| <= 1.5 AND |B.x - C.x| < 20 AND A.y + B.y >= C.y",
+    "NOT (A.temp - B.temp <= 3) AND (C.x - A.x > 10 OR distance(B.x, B.y, C.x, C.y) <= 80)",
+    "A.temp = B.temp OR A.x != C.x",
+    "A.temp - B.temp > 2",
+    "-(A.x) + B.y >= C.temp * A.temp / (B.y - C.y)",
+)
+
 
 @st.composite
-def semijoin_cases(draw):
-    """A predicate, shared cells over temp, x and y, and 0-300 rows per
-    alias into them.  Rows are drawn with replacement from at most 40
-    cells, so they repeat; cell bounds sit on a 0.1 grid, so they tie, and
-    some are widened to the quantizer's boundary sentinel."""
+def semijoin_cases(draw, aliases=("A", "B"), max_rows=300):
+    """A predicate over ``aliases``, shared cells over temp, x and y, and
+    0-``max_rows`` rows per alias into them.  Rows are drawn with
+    replacement from at most 40 cells, so they repeat; cell bounds sit on a
+    0.1 grid, so they tie, and some are widened to the quantizer's boundary
+    sentinel."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cells = draw(st.integers(1, 40))
     bounds = {}
@@ -434,10 +450,11 @@ def semijoin_cases(draw):
         hi[rng.random(cells) < 0.1] = 1e30
         bounds[attr] = (lo, hi)
     rows = {
-        alias: rng.integers(0, cells, draw(st.integers(0, 300))).astype(np.intp)
-        for alias in ("A", "B")
+        alias: rng.integers(0, cells, draw(st.integers(0, max_rows))).astype(np.intp)
+        for alias in aliases
     }
-    return draw(st.sampled_from(SEMIJOIN_PREDICATES)), bounds, rows
+    predicates = SEMIJOIN_PREDICATES if len(aliases) == 2 else THREE_WAY_PREDICATES
+    return draw(st.sampled_from(predicates)), bounds, rows
 
 
 @pytest.mark.parametrize("block_elements", [1, 7, 1000])
@@ -452,6 +469,42 @@ def test_blockwise_semijoin_equals_reference(block_elements, case):
         patch.setattr(evaluate_module, "_SEMIJOIN_BLOCK_ELEMENTS", block_elements)
         got = conservative_semijoin(query, bounds, rows)
     want = _reference_semijoin_two_way(query, bounds, rows)
+    for alias in query.aliases:
+        assert _same_bits(got[alias], want[alias]), alias
+
+
+def _brute_force_semijoin(query, bounds, rows):
+    """Every cell combination at once: alias k's cells lie along axis k of
+    one mask, and a row survives iff its slice of the mask has a hit."""
+    aliases = query.aliases
+    env = {}
+    for position, alias in enumerate(aliases):
+        shape = [1] * len(aliases)
+        shape[position] = -1
+        for attr, (lo, hi) in bounds.items():
+            env[(alias, attr)] = (lo[rows[alias]].reshape(shape), hi[rows[alias]].reshape(shape))
+    possible = np.ones([len(rows[alias]) for alias in aliases], dtype=bool)
+    for conjunct in query.join_predicates:
+        possible &= conjunct.possible(env)
+    axes = range(len(aliases))
+    return {
+        alias: rows[alias][possible.any(axis=tuple(a for a in axes if a != position))]
+        for position, alias in enumerate(aliases)
+    }
+
+
+@pytest.mark.parametrize("block_elements", [1, 7, 1000])
+@settings(deadline=None, max_examples=40)
+@given(case=semijoin_cases(("A", "B", "C"), max_rows=25))
+def test_three_way_semijoin_equals_brute_force(block_elements, case):
+    """Three aliases in one-row, ragged and multi-row blocks keep exactly
+    the rows that some cell combination possibly joins, repeats included."""
+    where, bounds, rows = case
+    query = parse_query(f"SELECT A.temp FROM s A, s B, s C WHERE {where} ONCE")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate_module, "_SEMIJOIN_BLOCK_ELEMENTS", block_elements)
+        got = conservative_semijoin(query, bounds, rows)
+    want = _brute_force_semijoin(query, bounds, rows)
     for alias in query.aliases:
         assert _same_bits(got[alias], want[alias]), alias
 
@@ -516,9 +569,37 @@ def test_evaluate_join_memory_ceiling():
     query = parse_query("SELECT A.temp, B.temp FROM s A, s B WHERE A.temp - B.temp > 10 ONCE")
     tracemalloc.start()
     try:
-        result = evaluate_join(query, {"A": rows, "B": rows}, apply_selections=False)
+        result = evaluate_join(query, {"A": rows, "B": rows})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result.match_count == 337_351
     assert peak < 100 * 2**20, f"peak {peak / 2**20:.0f} MiB (ceiling 100 MiB)"
+
+
+def test_conservative_semijoin_memory_ceiling():
+    """tracemalloc regression gate: a three-alias filter holds only the
+    partial combinations of its first two aliases.
+
+    200 temp cells on generality's chain at ``> 5``: 14,552 cell pairs
+    pass the first conjunct, and 2.9M triples would follow from them.
+    Reducing the last step in blocks peaked at ~1 MiB; building every
+    triple first peaked at ~183 MiB.
+    """
+    import tracemalloc
+
+    values = np.random.default_rng(0).uniform(0.0, 30.0, 200)
+    bounds = {"temp": (values - 0.25, values + 0.25)}
+    rows = np.arange(200)
+    query = parse_query(
+        "SELECT A.temp FROM s A, s B, s C "
+        "WHERE A.temp - B.temp > 5 AND B.temp - C.temp > 5 ONCE"
+    )
+    tracemalloc.start()
+    try:
+        survivors = conservative_semijoin(query, bounds, {"A": rows, "B": rows, "C": rows})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(survivors[alias]) for alias in query.aliases] == [144, 125, 127]
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.0f} MiB (ceiling 16 MiB)"

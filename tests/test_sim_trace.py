@@ -257,6 +257,40 @@ class TestEventKindRegistry:
             function for path, function in senders if path == "joins/sensjoin.py"
         } == {"_filter_phase"}
 
+    def test_one_binder(self):
+        """Grep-proof: the exact join and the join filter bind aliases
+        through one binder.
+
+        Under ``src/repro`` outside ``query/expressions.py``, only
+        ``query/evaluate.py``'s ``_bind`` and its two pinned reference twins
+        call ``.possible(`` or ``_conjunct_schedule(``.
+        """
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        callers = set()
+
+        def visit(node, path, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "_conjunct_schedule" or (
+                    name == "possible" and isinstance(func, ast.Attribute)
+                ):
+                    callers.add((path, function))
+            for child in ast.iter_child_nodes(node):
+                visit(child, path, function)
+
+        for file in sorted(src.rglob("*.py")):
+            path = file.relative_to(src).as_posix()
+            if path != "query/expressions.py":
+                visit(ast.parse(file.read_text()), path, None)
+        assert callers == {
+            ("query/evaluate.py", "_bind"),
+            ("query/evaluate.py", "_reference_expand_exact"),
+            ("query/evaluate.py", "_reference_semijoin_two_way"),
+        }
+
     def test_one_fault_applier(self):
         """Grep-proof: every recovery model changes the topology the same way.
 

@@ -3,10 +3,10 @@
 ``python -m repro.bench perf`` establishes the repo's micro-kernel
 performance trajectory.  One run times four layers:
 
-* **codec micros** — the §V pipeline kernels (quantize, Z-curve
-  interleave/deinterleave, BitWriter assembly, quadtree
-  encode/size/decode), each against its pinned ``_reference_*`` twin so
-  the report shows the optimized/reference speedup directly;
+* **codec micros** — the §V pipeline kernels the protocol runs (quantize,
+  Z-curve interleave/deinterleave, quadtree sizing), the last three
+  against their pinned ``_reference_*`` twins so the report shows the
+  optimized/reference speedup directly;
 * **kernel micros** — schedule/drain throughput of the DES event loop at
   several queue depths, plus a same-timestamp burst (the case the
   bucketed queue exists for);
@@ -28,8 +28,7 @@ previous snapshot (or ``--baseline``).  Raw ns/op is machine-bound, so
 each entry also carries a **score**: ns/op divided by the ns/op of a
 fixed pure-Python spin loop timed in the same process.  The regression
 gate (``--check``) compares scores, not wall times, and only for the
-*tracked* micro kernels (codec, kernel, scale and query groups) —
-set-operation micros are informational.
+*tracked* micro kernels, those of the :data:`TRACKED_GROUPS`.
 """
 
 from __future__ import annotations
@@ -90,12 +89,15 @@ class Bench:
     run: Callable[[], Any]
     #: The pinned pre-optimization twin, if the kernel has one.
     reference: Optional[Callable[[], Any]] = None
-    #: Entries outside the regression gate (setops) set this False.
-    tracked: bool = True
 
     @property
     def key(self) -> str:
         return f"{self.group}.{self.name}"
+
+    @property
+    def tracked(self) -> bool:
+        """Whether the regression gate compares this entry."""
+        return self.group in TRACKED_GROUPS
 
 
 def _best_ns_per_op(run: Callable[[], Any], ops: int, repeats: int) -> float:
@@ -133,10 +135,8 @@ def calibration_ns_per_op(repeats: int = 5) -> float:
 
 def _codec_benches() -> List[Bench]:
     from ..codec import zcurve
-    from ..codec.bits import BitWriter, _ReferenceBitWriter
     from ..codec.quadtree import QuadtreeCodec
     from ..codec.quantize import QuantizedDimension, Quantizer
-    from ..codec.setops import intersect_encoded, union_encoded
 
     benches: List[Bench] = []
     rng = Random(20090329)  # ICDE 2009, for what it's worth
@@ -192,41 +192,16 @@ def _codec_benches() -> List[Bench]:
         Bench("codec", "zcurve_deinterleave", len(zs), run_deinterleave, run_deinterleave_ref)
     )
 
-    # bits: chunked writer vs the immediate-fold reference writer.  The
-    # stream must be long enough for the O(N log N) vs O(N^2) asymptotics
-    # to separate (a filter-phase quadtree stream is tens of kilobits).
-    fields = [(rng.randrange(1 << 7), 7) for _ in range(32768)]
+    # A retired micro drew 32768 fields here; drawing them still keeps the
+    # sized points below equal to those of every earlier snapshot.
+    for _ in range(32768):
+        rng.randrange(1 << 7)
 
-    def run_writer() -> None:
-        writer = BitWriter()
-        write = writer.write_uint
-        for value, width in fields:
-            write(value, width)
-        writer.getvalue()
-
-    def run_writer_ref() -> None:
-        writer = _ReferenceBitWriter()
-        write = writer.write_uint
-        for value, width in fields:
-            write(value, width)
-        writer.getvalue()
-
-    benches.append(Bench("codec", "bits_writer", len(fields), run_writer, run_writer_ref))
-
-    # quadtree encode/size on the standard 20-bit shape ...
+    # quadtree sizing on the standard 20-bit shape: the protocol prices every
+    # join-attribute and filter message this way.
     codec = QuadtreeCodec(2, zcurve.level_widths(bpd))
     points = sorted(
         {(rng.randrange(1, 4), rng.randrange(1 << 20)) for _ in range(512)}
-    )
-
-    benches.append(
-        Bench(
-            "codec",
-            "quadtree_encode",
-            1,
-            lambda: codec.encode(points),
-            lambda: codec._reference_encode(points),
-        )
     )
     benches.append(
         Bench(
@@ -235,45 +210,6 @@ def _codec_benches() -> List[Bench]:
             1,
             lambda: codec.encoded_size_bits(points),
             lambda: codec._reference_encoded_size_bits(points),
-        )
-    )
-
-    # ... and decode on a deep/wide shape where the linear-time parse shows.
-    big_codec = QuadtreeCodec(2, zcurve.level_widths([13, 13]))
-    big_points = sorted(
-        {(rng.randrange(1, 4), rng.randrange(1 << 26)) for _ in range(8192)}
-    )
-    big_encoded = big_codec.encode(big_points)
-
-    benches.append(
-        Bench(
-            "codec",
-            "quadtree_decode",
-            1,
-            lambda: big_codec.decode(big_encoded),
-            lambda: big_codec._reference_decode(big_encoded),
-        )
-    )
-
-    # setops: informational — built on encode/decode, not separately tuned.
-    half_a = codec.encode(points[: len(points) // 2 + 64])
-    half_b = codec.encode(points[len(points) // 2 - 64 :])
-    benches.append(
-        Bench(
-            "setops",
-            "union_encoded",
-            1,
-            lambda: union_encoded(codec, half_a, half_b),
-            tracked=False,
-        )
-    )
-    benches.append(
-        Bench(
-            "setops",
-            "intersect_encoded",
-            1,
-            lambda: intersect_encoded(codec, half_a, half_b),
-            tracked=False,
         )
     )
     return benches

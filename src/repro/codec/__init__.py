@@ -4,13 +4,7 @@ from .bits import BitReader, BitWriter, Bits
 from .compression import COMPRESSORS, compressed_size, encode_raw_tuples, raw_size_bytes
 from .quadtree import FlaggedPoint, QuadtreeCodec
 from .quantize import UNBOUNDED_SENTINEL, QuantizedDimension, Quantizer
-from .setops import (
-    insert_point,
-    intersect_encoded,
-    intersect_points,
-    union_encoded,
-    union_points,
-)
+from .setops import intersect_points, union_points
 from .zcurve import deinterleave, interleave, level_widths, total_bits
 
 __all__ = [
@@ -26,13 +20,10 @@ __all__ = [
     "compressed_size",
     "deinterleave",
     "encode_raw_tuples",
-    "insert_point",
     "interleave",
-    "intersect_encoded",
     "intersect_points",
     "level_widths",
     "raw_size_bytes",
     "total_bits",
-    "union_encoded",
     "union_points",
 ]

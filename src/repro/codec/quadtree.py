@@ -27,28 +27,26 @@ Canonical form: the encoding of a point set is unique (independent of
 insertion order), so encodings can be compared for equality — a property the
 round-trip tests rely on.
 
-Implementation note: the public :meth:`QuadtreeCodec.encode` /
-:meth:`~QuadtreeCodec.decode` / :meth:`~QuadtreeCodec.encoded_size_bits` run
-int-native: encoding exploits that sorted packed points make every quadrant a
-contiguous slice (``bisect_left`` instead of dict partitioning) and builds
-each subtree bottom-up as a single ``(bit length, int value)`` pair; decoding
-is an explicit-stack walk with inline shift/mask reads.  The decomposition
-decision (`strict <` between subdivide and list cost) is byte-for-byte the
-same as the original recursive writer, which is kept as
-:meth:`~QuadtreeCodec._reference_encode` /
-:meth:`~QuadtreeCodec._reference_decode` /
-:meth:`~QuadtreeCodec._reference_encoded_size_bits` and pinned equivalent by
-``tests/test_codec_equivalence.py``.
+Implementation note: :meth:`QuadtreeCodec.encode` and
+:meth:`~QuadtreeCodec.decode` are the plain recursive writer and reader over
+one :class:`~repro.codec.bits.BitWriter` / :class:`~repro.codec.bits.BitReader`;
+no protocol path runs them.  The protocol prices every message with
+:meth:`~QuadtreeCodec.encoded_size_bits`, which runs the same decomposition
+DP int-native over sorted packed points (every quadrant a contiguous slice,
+``bisect_left`` instead of dict partitioning) and never builds the
+bitstring.  Its recursive twin
+:meth:`~QuadtreeCodec._reference_encoded_size_bits` is pinned equal by
+``tests/test_codec_equivalence.py``, and a golden digest in
+``tests/test_codec_quadtree.py`` pins the bit layout.
 """
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from ..errors import CodecError
-from .bits import BitReader, Bits, _ReferenceBitReader, _ReferenceBitWriter, _fold_chunks
+from .bits import BitReader, Bits, BitWriter
 from .quantize import Quantizer
 from . import zcurve
 
@@ -56,21 +54,6 @@ __all__ = ["FlaggedPoint", "QuadtreeCodec"]
 
 #: A point in the tree: (relation flags, Z-number).
 FlaggedPoint = Tuple[int, int]
-
-
-@functools.lru_cache(maxsize=None)
-def _quadrant_table(arity: int, level_shift: int) -> Tuple[Tuple[int, ...], ...]:
-    """mask -> present quadrants in *reverse* order (decode pushes them on a
-    stack), pre-shifted past the level field; shared by every level and
-    codec of one arity (at most 8) and level shift."""
-    return tuple(
-        tuple(
-            q << level_shift
-            for q in range(arity - 1, -1, -1)
-            if (mask >> (arity - 1 - q)) & 1
-        )
-        for mask in range(1 << arity)
-    )
 
 
 class QuadtreeCodec:
@@ -99,21 +82,6 @@ class QuadtreeCodec:
         self.total_bits = self.flag_bits + self.z_bits
         if self.total_bits == 0:
             raise CodecError("codec with zero total bits")
-        # Per-level decode constants: bits remaining below each level, and
-        # (width, arity) per index level (computed once, read every decode).
-        self._rems: List[int] = [self.total_bits]
-        for width in self._schedule:
-            self._rems.append(self._rems[-1] - width)
-        self._arities: List[Tuple[int, int]] = [(w, 1 << w) for w in self._schedule]
-        # Decode packs (prefix, level) stack entries into one int; this many
-        # low bits address the level.
-        self._level_shift: int = max(1, len(self._schedule).bit_length())
-        # None past width 3 keeps a pathological schedule from exploding
-        # the table.
-        self._quadrants: List[Optional[Tuple[Tuple[int, ...], ...]]] = [
-            _quadrant_table(arity, self._level_shift) if arity <= 8 else None
-            for _, arity in self._arities
-        ]
 
     @classmethod
     def for_quantizer(cls, quantizer: Quantizer, alias_count: int = 2) -> "QuadtreeCodec":
@@ -144,73 +112,20 @@ class QuadtreeCodec:
         packed = sorted({self.pack(point) for point in points})
         if not packed:
             return Bits()
-        length, value = self._best_encode(packed, 0, len(packed), 0, self.total_bits)
-        return Bits(value, length)
-
-    def _best_encode(
-        self, points: Sequence[int], lo: int, hi: int, level: int, remaining: int
-    ) -> Tuple[int, int]:
-        """Cheapest encoding of ``points[lo:hi]`` as a ``(bits, value)`` pair.
-
-        Same decomposition DP as :meth:`_encode_node`, but bottom-up: child
-        encodings come back as ints and are spliced with shifts, so no per-bit
-        writer calls happen and the cost comparison reuses the child lengths
-        for free.
-        """
-        count = hi - lo
-        list_length = count * (1 + remaining) + 1
-        if count == 1:
-            # A lone point always lists: subdividing costs
-            # 1 + arity + child >= remaining + 4 > remaining + 2 since
-            # arity = 2**width >= width + 1, so the strict `<` never fires.
-            return list_length, ((1 << remaining) | (points[lo] & ((1 << remaining) - 1))) << 1
-        if level < len(self._schedule):
-            width = self._schedule[level]
-            shift = remaining - width
-            arity = 1 << width
-            subdivide_length = 1 + arity
-            mask = 0
-            children: List[Tuple[int, int]] = []
-            i = lo
-            while i < hi:
-                high = points[i] >> shift
-                # Sorted input keeps each quadrant contiguous: everything in
-                # this quadrant is < (high + 1) << shift.
-                j = bisect_left(points, (high + 1) << shift, i, hi)
-                child = self._best_encode(points, i, j, level + 1, shift)
-                subdivide_length += child[0]
-                mask |= 1 << (arity - 1 - (high & (arity - 1)))
-                children.append(child)
-                i = j
-            if subdivide_length < list_length:
-                value = mask  # the leading 0 marker adds length, not value
-                for child_length, child_value in children:
-                    value = (value << child_length) | child_value
-                return subdivide_length, value
-        if remaining:
-            field = 1 + remaining
-            marker = 1 << remaining
-            suffix_mask = marker - 1
-            if count > 16:
-                chunks = [(marker | (points[k] & suffix_mask), field) for k in range(lo, hi)]
-                chunks.append((0, 1))  # list terminator
-                value, _ = _fold_chunks(chunks)
-            else:
-                value = 0
-                for k in range(lo, hi):
-                    value = (value << field) | marker | (points[k] & suffix_mask)
-                value <<= 1
-        else:
-            value = ((1 << count) - 1) << 1
-        return list_length, value
+        writer = BitWriter()
+        self._encode_node(writer, packed, level=0, remaining=self.total_bits)
+        return writer.getvalue()
 
     def _best_cost(
         self, points: Sequence[int], lo: int, hi: int, level: int, remaining: int
     ) -> int:
-        """Size-only twin of :meth:`_best_encode` (no value assembly)."""
+        """Size of :meth:`_encode_node`'s output for ``points[lo:hi]``, the
+        same DP bottom-up over contiguous slices of sorted input."""
         list_length = (hi - lo) * (1 + remaining) + 1
         if hi - lo == 1 or level >= len(self._schedule):
-            # Singletons always list — see the proof in _best_encode.
+            # A lone point always lists: subdividing costs
+            # 1 + arity + child >= remaining + 4 > remaining + 2 since
+            # arity = 2**width >= width + 1, so the strict `<` never fires.
             return list_length
         width = self._schedule[level]
         shift = remaining - width
@@ -233,132 +148,21 @@ class QuadtreeCodec:
 
     def decode(self, bits: Bits) -> FrozenSet[FlaggedPoint]:
         """Decode a bitstring back into the set of flagged points."""
-        length = len(bits)
-        if length == 0:
+        if len(bits) == 0:
             return frozenset()
-        # The stream is parsed as a '0101...' string: field reads become
-        # `int(s[a:b], 2)` over just the field's characters.  Shifting the
-        # whole stream integer per read (what the reference reader does)
-        # costs O(stream bits) *per field*, which made decoding quadratic.
-        stream = format(bits.value, f"0{length}b")
-        rems = self._rems
-        arities = self._arities
-        quadrant_tables = self._quadrants
-        max_level = len(self._schedule)
-        position = 0
+        reader = BitReader(bits)
         points: List[int] = []
-        # DFS via explicit stack; children pushed in reverse quadrant order so
-        # reads happen in exactly the recursive (reference) order.  Entries
-        # pack (prefix, level) into one int: cheaper to push/pop than tuples.
-        level_shift = self._level_shift
-        level_mask = (1 << level_shift) - 1
-        stack: List[int] = [0]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            entry = pop()
-            level = entry & level_mask
-            prefix = entry >> level_shift
-            if position >= length:
-                raise CodecError(
-                    f"bitstream underrun: wanted 1 bits at position "
-                    f"{position}, only {length - position} remain"
-                )
-            marker = stream[position]
-            position += 1
-            if marker == "1":
-                # Point list; the leading 1 of the first point is consumed.
-                # Layout from here: suffix ('1' suffix)* '0' — continuation
-                # markers sit at a fixed stride, so scan them first and bulk-
-                # extract the suffixes; any scan that would run off the end
-                # falls back to the bit-at-a-time loop, which raises the
-                # exact reference error.
-                remaining = rems[level]
-                base = prefix << remaining
-                stride = remaining + 1
-                first_end = position + remaining
-                cursor = first_end
-                while cursor < length and stream[cursor] == "1":
-                    cursor += stride
-                if cursor < length:
-                    if cursor == first_end:  # single point: the common case
-                        points.append(
-                            base | int(stream[position:cursor], 2) if remaining else base
-                        )
-                    elif remaining:
-                        points.extend(
-                            [
-                                base | int(stream[start : start + remaining], 2)
-                                for start in range(position, cursor, stride)
-                            ]
-                        )
-                    else:
-                        points.extend([base] * ((cursor - position) // stride + 1))
-                    position = cursor + 1
-                    continue
-                # Ran off the end: replay carefully for the right message.
-                while True:
-                    end = position + remaining
-                    if end > length:
-                        raise CodecError(
-                            f"bitstream underrun: wanted {remaining} bits at "
-                            f"position {position}, only {length - position} remain"
-                        )
-                    points.append(base | int(stream[position:end], 2) if remaining else base)
-                    if end >= length:
-                        raise CodecError(
-                            f"bitstream underrun: wanted 1 bits at position "
-                            f"{end}, only {length - end} remain"
-                        )
-                    position = end + 1
-                    if stream[end] == "0":
-                        break
-                continue
-            # Index node.
-            if level >= max_level:
-                raise CodecError("index node below the maximum tree depth")
-            width, arity = arities[level]
-            end = position + arity
-            if end > length:
-                raise CodecError(
-                    f"bitstream underrun: wanted {arity} bits at position "
-                    f"{position}, only {length - position} remain"
-                )
-            mask = int(stream[position:end], 2)
-            position = end
-            if mask == 0:
-                raise CodecError("index node with no present quadrants")
-            child_entry = ((prefix << width) << level_shift) | (level + 1)
-            table = quadrant_tables[level]
-            if table is not None:
-                for shifted_quadrant in table[mask]:
-                    push(child_entry | shifted_quadrant)
-            else:
-                top = arity - 1
-                for quadrant in range(top, -1, -1):
-                    if (mask >> (top - quadrant)) & 1:
-                        push(child_entry | (quadrant << level_shift))
-        if position != length:
+        self._decode_node(reader, points, level=0, prefix=0, remaining=self.total_bits)
+        if not reader.at_end():
             raise CodecError(
-                f"{length - position} trailing bits after decoding the quadtree"
+                f"{reader.remaining} trailing bits after decoding the quadtree"
             )
-        z_bits = self.z_bits
-        z_mask = (1 << z_bits) - 1
-        return frozenset((point >> z_bits, point & z_mask) for point in points)
+        return frozenset(self.unpack(point) for point in points)
 
-    # -- reference implementations (pre-optimization, kept for equivalence) ------
-
-    def _reference_encode(self, points: Iterable[FlaggedPoint]) -> Bits:
-        """The original recursive writer-based encoder (oracle/baseline)."""
-        packed = sorted({self.pack(point) for point in points})
-        if not packed:
-            return Bits()
-        writer = _ReferenceBitWriter()
-        self._encode_node(writer, packed, level=0, remaining=self.total_bits)
-        return writer.getvalue()
+    # -- recursive writer and reader, and the reference size DP -----------------
 
     def _encode_node(
-        self, writer, points: Sequence[int], level: int, remaining: int
+        self, writer: BitWriter, points: Sequence[int], level: int, remaining: int
     ) -> None:
         list_cost = len(points) * (1 + remaining) + 1
         if level < len(self._schedule):
@@ -412,19 +216,6 @@ class QuadtreeCodec:
         if not packed:
             return 0
         return self._node_cost(packed, 0, self.total_bits)
-
-    def _reference_decode(self, bits: Bits) -> FrozenSet[FlaggedPoint]:
-        """The original recursive reader-based decoder (oracle/baseline)."""
-        if len(bits) == 0:
-            return frozenset()
-        reader = _ReferenceBitReader(bits)
-        points: List[int] = []
-        self._decode_node(reader, points, level=0, prefix=0, remaining=self.total_bits)
-        if not reader.at_end():
-            raise CodecError(
-                f"{reader.remaining} trailing bits after decoding the quadtree"
-            )
-        return frozenset(self.unpack(point) for point in points)
 
     def _decode_node(
         self, reader: BitReader, out: List[int], level: int, prefix: int, remaining: int

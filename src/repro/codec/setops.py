@@ -1,34 +1,27 @@
-"""Set operations on quadtree-encoded point sets (§V-D).
+"""Set operations on flagged point sets (§V-D).
 
 The protocol needs three primitives on ``Join_Attr_Structure`` (Figs. 2, 3):
 ``Insert``, ``Union`` and ``Intersect``.  "A strength of our quadtree
 representation is that Union and Intersect can be computed directly on it.
 There is no need to recover the original tuples."
 
-Like the paper's merge we work on the tree representation — never on raw
-sensor values — in a single linear pass: both operands are walked in their
-depth-first wire order, point sets are merged per quadrant, and the result
-is re-encoded (re-running the decomposition-threshold decision, since the
-optimal list-vs-subdivide split of a union generally differs from either
-operand's).  Relation flags combine bitwise on union ('10' ∪ '01' = '11',
-i.e. the point now belongs to both relations) and intersect bitwise on
-intersection; a point whose intersected flags are empty drops out.
+The reproduction unites and intersects the flagged points themselves and
+charges each message the size of the quadtree that would carry the result
+(:meth:`repro.codec.quadtree.QuadtreeCodec.encoded_size_bits`); the result
+sets and the sizes are those of the tree-level operations, since the
+encoding of a set is canonical.  Insert is a union with a one-point set.
+Relation flags combine bitwise on union ('10' ∪ '01' = '11', i.e. the point
+now belongs to both relations) and intersect bitwise on intersection; a
+point whose intersected flags are empty drops out.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable
 
-from .bits import Bits
-from .quadtree import FlaggedPoint, QuadtreeCodec
+from .quadtree import FlaggedPoint
 
-__all__ = [
-    "union_points",
-    "intersect_points",
-    "union_encoded",
-    "intersect_encoded",
-    "insert_point",
-]
+__all__ = ["union_points", "intersect_points"]
 
 
 def union_points(
@@ -66,20 +59,3 @@ def intersect_points(
             if combined:
                 result[z] = result.get(z, 0) | combined
     return frozenset((flags, z) for z, flags in result.items())
-
-
-def insert_point(
-    points: Iterable[FlaggedPoint], point: FlaggedPoint
-) -> FrozenSet[FlaggedPoint]:
-    """``InsertJoin_Atts``: add one flagged point (flags merge on collision)."""
-    return union_points(points, [point])
-
-
-def union_encoded(codec: QuadtreeCodec, a: Bits, b: Bits) -> Bits:
-    """Union directly on wire-format operands; returns wire format."""
-    return codec.encode(union_points(codec.decode(a), codec.decode(b)))
-
-
-def intersect_encoded(codec: QuadtreeCodec, a: Bits, b: Bits) -> Bits:
-    """Intersection directly on wire-format operands; returns wire format."""
-    return codec.encode(intersect_points(codec.decode(a), codec.decode(b)))

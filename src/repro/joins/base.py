@@ -48,16 +48,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FullTupleRecord:
+class FullTupleRecord(Row):
     """A complete tuple travelling through the network.
 
-    ``flags`` records which aliases the originating node can serve (bit per
-    alias, MSB-first); ``values`` holds the full-tuple attributes.
+    A :class:`~repro.query.evaluate.Row` of the full-tuple attributes that
+    also records which aliases the originating node can serve in ``flags``
+    (bit per alias, MSB-first), so the base station joins it as it arrived.
     """
 
-    node_id: int
     flags: int
-    values: Mapping[str, float]
 
 
 class TupleFormat:
@@ -176,7 +175,7 @@ def node_tuple(
         raise ProtocolError(
             f"node {node_id} lacks reading {missing}; was a snapshot taken?"
         ) from None
-    return FullTupleRecord(node_id, flags, values), flags
+    return FullTupleRecord(node_id=node_id, values=values, flags=flags), flags
 
 
 def acquire(fmt: TupleFormat, node_ids: Iterable[int]) -> Dict[int, FullTupleRecord]:
@@ -229,7 +228,7 @@ def evaluate_arrived(
     tuples_by_alias: Dict[str, List[Row]] = {alias: [] for alias in fmt.aliases}
     for record in records:
         for alias in fmt.aliases_of_flags(record.flags):
-            tuples_by_alias[alias].append(Row(record.node_id, dict(record.values)))
+            tuples_by_alias[alias].append(record)
     return evaluate_join(query, tuples_by_alias)
 
 

@@ -28,7 +28,7 @@ benchmark confirms.
 from __future__ import annotations
 
 from .. import constants
-from ..query.evaluate import Row, evaluate_join
+from ..query.evaluate import evaluate_join
 from ..routing.dissemination import flood_query
 from .base import (
     ExecutionContext,
@@ -70,12 +70,8 @@ class SemiJoinBroadcast(JoinAlgorithm):
         other_alias = next(a for a in fmt.aliases if a != filter_alias)
         filter_bit = fmt.alias_bit(filter_alias)
         other_bit = fmt.alias_bit(other_alias)
-        filter_rows = [
-            Row(r.node_id, dict(r.values)) for r in records.values() if r.flags & filter_bit
-        ]
-        candidate_rows = [
-            Row(r.node_id, dict(r.values)) for r in records.values() if r.flags & other_bit
-        ]
+        filter_rows = [r for r in records.values() if r.flags & filter_bit]
+        candidate_rows = [r for r in records.values() if r.flags & other_bit]
 
         # Step 1: ship the filter relation's complete tuples to the root.
         convergecast(

@@ -25,7 +25,7 @@ component downstream needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..data.sensors import SensorCatalog
 from ..errors import BindingError, QueryError
@@ -149,6 +149,23 @@ class JoinQuery:
         self.mode = mode
         self._conjuncts = _flatten_conjuncts(where) if where is not None else []
         self._check_alias_references()
+        # The §IV-A split, made once: conjuncts over one alias are its
+        # selections, conjuncts over two or more are join predicates.
+        self._selections: Dict[str, List[Predicate]] = {alias: [] for alias in aliases}
+        self._join_predicates: List[Predicate] = []
+        join_attributes: Dict[str, Set[str]] = {alias: set() for alias in aliases}
+        for conjunct in self._conjuncts:
+            columns = conjunct.columns()
+            referenced = _aliases_of(columns)
+            if len(referenced) == 1:
+                self._selections[referenced.pop()].append(conjunct)
+            elif len(referenced) >= 2:
+                self._join_predicates.append(conjunct)
+                for alias, attribute in columns:
+                    join_attributes[alias].add(attribute)
+        self._join_attributes: Dict[str, List[str]] = {
+            alias: sorted(attributes) for alias, attributes in join_attributes.items()
+        }
 
     # -- validation ------------------------------------------------------------
 
@@ -212,21 +229,12 @@ class JoinQuery:
 
     def selection_predicates(self, alias: str) -> List[Predicate]:
         """Conjuncts that only reference ``alias`` (evaluated at the node)."""
-        result = []
-        for conjunct in self._conjuncts:
-            referenced = _aliases_of(conjunct.columns())
-            if referenced == {alias}:
-                result.append(conjunct)
-        return result
+        return list(self._selections.get(alias, ()))
 
     @property
     def join_predicates(self) -> List[Predicate]:
         """Conjuncts that reference two or more aliases."""
-        return [
-            conjunct
-            for conjunct in self._conjuncts
-            if len(_aliases_of(conjunct.columns())) >= 2
-        ]
+        return list(self._join_predicates)
 
     def require_join(self) -> None:
         """Raise unless this is a genuine join (≥2 relations + join exprs)."""
@@ -242,12 +250,7 @@ class JoinQuery:
 
     def join_attributes(self, alias: str) -> List[str]:
         """Attributes of ``alias`` appearing in join predicates (Def. 1)."""
-        attributes: Set[str] = set()
-        for predicate in self.join_predicates:
-            for ref_alias, attribute in predicate.columns():
-                if ref_alias == alias:
-                    attributes.add(attribute)
-        return sorted(attributes)
+        return list(self._join_attributes.get(alias, ()))
 
     def select_attributes(self, alias: str) -> List[str]:
         """Attributes of ``alias`` the SELECT list needs."""

@@ -19,9 +19,11 @@ The invariants, in catalogue order:
     its cell's decoded bounds, and every oracle match survives the
     conservative cell-level semi-join.
 ``quadtree-setops-algebra``
-    Union/intersection computed directly on the wire format agree with
-    brute-force flag algebra on the underlying point sets, and obey the
-    usual laws (idempotence, commutativity, identity/annihilator).
+    Union/intersection of flagged point sets agree with brute-force flag
+    algebra and obey the usual laws (idempotence, commutativity,
+    identity/annihilator); every operand and result round-trips through
+    the wire format, and the size the protocol charges for it equals the
+    length of its encoding.
 ``zcurve-roundtrip``
     Z-order interleaving and the quadtree pack/encode paths are lossless
     round trips.
@@ -185,6 +187,20 @@ def _brute_intersect(a, b) -> FrozenSet[Tuple[int, int]]:
     return frozenset((flags, z) for z, flags in out.items())
 
 
+def _wire_violation(codec, points, label: str) -> Optional[str]:
+    """Round trip ``points`` through the wire format and check its charged size."""
+    encoded = codec.encode(points)
+    # The codec is flag-agnostic: two points sharing a Z-number but carrying
+    # different flags are distinct wire entries, so the round trip preserves
+    # the *plain* set (flag merging is union_points' job, not the codec's).
+    if codec.decode(encoded) != frozenset(points):
+        return f"{label}: encode/decode round trip lost points"
+    size = codec.encoded_size_bits(points)
+    if size != len(encoded):
+        return f"{label}: encoded_size_bits {size} != {len(encoded)} encoded bits"
+    return None
+
+
 def check_quadtree_setops(execution) -> Optional[str]:
     codec = execution.rounds[0].tuple_format.codec
     rng = random.Random(execution.spec.seed ^ 0x5E705)
@@ -192,21 +208,18 @@ def check_quadtree_setops(execution) -> Optional[str]:
         a = random_flagged_points(rng, codec)
         b = random_flagged_points(rng, codec)
         canonical_a, canonical_b = _merge(a), _merge(b)
-        # Round trip through the wire format.  The codec is flag-agnostic:
-        # two points sharing a Z-number but carrying different flags are
-        # distinct wire entries, so the round trip preserves the *plain*
-        # set (flag merging is union_points' job, not the codec's).
-        if codec.decode(codec.encode(a)) != frozenset(a):
-            return f"setops[{trial}]: encode/decode round trip lost points"
-        # Wire-format set ops match brute-force flag algebra.
-        union = codec.decode(setops.union_encoded(codec, codec.encode(a), codec.encode(b)))
+        # Set ops match brute-force flag algebra.
+        union = setops.union_points(a, b)
         if union != _merge(list(canonical_a) + list(canonical_b)):
-            return f"setops[{trial}]: union_encoded != brute-force union"
-        inter = codec.decode(
-            setops.intersect_encoded(codec, codec.encode(a), codec.encode(b))
-        )
+            return f"setops[{trial}]: union_points != brute-force union"
+        inter = setops.intersect_points(a, b)
         if inter != _brute_intersect(a, b):
-            return f"setops[{trial}]: intersect_encoded != brute-force intersection"
+            return f"setops[{trial}]: intersect_points != brute-force intersection"
+        # Every operand and result survives the wire, at the charged size.
+        for label, points in (("a", a), ("b", b), ("union", union), ("intersection", inter)):
+            violation = _wire_violation(codec, points, f"setops[{trial}] {label}")
+            if violation is not None:
+                return violation
         # Algebraic laws on the point-set primitives.
         if setops.union_points(canonical_a, canonical_a) != canonical_a:
             return f"setops[{trial}]: union is not idempotent"
@@ -220,7 +233,7 @@ def check_quadtree_setops(execution) -> Optional[str]:
             return f"setops[{trial}]: empty set is not an intersection annihilator"
         if canonical_a:
             point = rng.choice(sorted(canonical_a))
-            if setops.insert_point(canonical_a, point) != canonical_a:
+            if setops.union_points(canonical_a, [point]) != canonical_a:
                 return f"setops[{trial}]: re-inserting a member changed the set"
     return None
 
@@ -330,8 +343,9 @@ INVARIANTS: Dict[str, Invariant] = {
         ),
         Invariant(
             "quadtree-setops-algebra",
-            "Wire-format union/intersection match brute-force flag algebra "
-            "and obey idempotence/commutativity/identity laws.",
+            "Point-set union/intersection match brute-force flag algebra and "
+            "obey idempotence/commutativity/identity laws; every operand and "
+            "result round-trips through the wire format at its charged size.",
             check_quadtree_setops,
         ),
         Invariant(

@@ -1,9 +1,13 @@
 """Pointerless quadtree codec tests (Fig. 9 wire format)."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import zcurve
 from repro.codec.bits import Bits
 from repro.codec.quadtree import QuadtreeCodec
 from repro.errors import CodecError
@@ -19,6 +23,17 @@ def points_strategy(codec):
     flags = st.integers(min_value=1, max_value=(1 << codec.flag_bits) - 1)
     zs = st.integers(min_value=0, max_value=(1 << codec.z_bits) - 1)
     return st.frozensets(st.tuples(flags, zs), max_size=40)
+
+
+def _seeded_points(rng, codec, count):
+    max_flags = (1 << codec.flag_bits) - 1 if codec.flag_bits else 0
+    return {
+        (
+            rng.randint(1, max_flags) if codec.flag_bits else 0,
+            rng.getrandbits(codec.z_bits),
+        )
+        for _ in range(count)
+    }
 
 
 class TestRoundtrip:
@@ -66,8 +81,6 @@ class TestRoundtrip:
     @pytest.mark.parametrize("flag_bits,widths", SWEEP_SHAPES)
     @pytest.mark.parametrize("seed", range(5))
     def test_seeded_sweep_roundtrip(self, flag_bits, widths, seed):
-        import random
-
         from repro.verify.generators import random_flagged_points
 
         codec = QuadtreeCodec(flag_bits, widths)
@@ -142,6 +155,30 @@ class TestValidation:
         packed = codec.pack((2, 0b101))
         assert codec.unpack(packed) == (2, 0b101)
 
+    @pytest.mark.parametrize("mutation", ["truncate", "extend", "bitflip"])
+    def test_corrupt_streams_decode_or_raise(self, mutation):
+        """Every truncation, extension and bit flip of a valid stream either
+        decodes or raises :class:`CodecError`, never another exception."""
+        codec = QuadtreeCodec(2, zcurve.level_widths([5, 5]))
+        rng = random.Random(77)
+        encoded = codec.encode(_seeded_points(rng, codec, 25))
+        length, value = len(encoded), encoded.value
+        if mutation == "truncate":
+            corrupt = [Bits(value >> (length - cut), cut) for cut in range(length)]
+        elif mutation == "extend":
+            corrupt = [
+                Bits((value << extra) | tail, length + extra)
+                for extra in range(1, 9)
+                for tail in {0, (1 << extra) - 1, rng.getrandbits(extra)}
+            ]
+        else:
+            corrupt = [Bits(value ^ (1 << position), length) for position in range(length)]
+        for bits in corrupt:
+            try:
+                codec.decode(bits)
+            except CodecError:
+                pass
+
 
 class TestOptimality:
     """The decomposition-threshold DP must find the minimal encoding."""
@@ -205,8 +242,6 @@ class TestFullPipeline:
     @pytest.mark.parametrize("attrs", [["temp"], ["temp", "hum"], ["temp", "hum", "x"]])
     @pytest.mark.parametrize("seed", range(4))
     def test_quantize_zcurve_quadtree_roundtrip(self, attrs, seed):
-        import random
-
         from repro.codec.quantize import Quantizer
         from repro.data.sensors import standard_catalog
         from repro.verify.generators import random_values
@@ -227,3 +262,34 @@ class TestFullPipeline:
                 assert cells[dim.name] == dim.cell_of(values[dim.name])
             points.add((rng.randrange(1, 4), z))
         assert codec.decode(codec.encode(points)) == frozenset(points)
+
+
+#: Codec shapes and set sizes of the golden digest: 0-3 flag bits, up to 26
+#: Z bits, up to 1000 points.
+GOLDEN_SHAPES = [
+    (2, [10, 10]),
+    (2, [4, 9]),
+    (0, [5, 5]),
+    (1, [6]),
+    (3, [2, 2, 2]),
+    (2, [1, 1]),
+    (0, [8]),
+    (2, [13, 13]),
+]
+GOLDEN_COUNTS = [0, 1, 2, 7, 40, 200, 1000]
+
+#: sha256 of the grid's encodings; an int-native encoder that the codec
+#: once carried beside the recursive one wrote the same bits.
+GOLDEN_DIGEST = "424957e7fea16cf7552f850f802193747c67a2e51b3a6909080fc3146ec50712"
+
+
+def test_golden_encodings():
+    """The bit layout is pinned: sizes alone cannot see two fields swapped."""
+    digest = hashlib.sha256()
+    for flag_bits, bpd in GOLDEN_SHAPES:
+        codec = QuadtreeCodec(flag_bits, zcurve.level_widths(bpd))
+        for count in GOLDEN_COUNTS:
+            rng = random.Random(count * 31 + sum(bpd))
+            encoded = codec.encode(_seeded_points(rng, codec, count))
+            digest.update(f"{len(encoded)}:{encoded.value:x};".encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST

@@ -4,7 +4,9 @@ import pytest
 
 from repro.data.relations import SensorWorld
 from repro.errors import ProtocolError, QueryError
+from repro.joins import base
 from repro.joins.base import ExecutionContext, TupleFormat, acquire, node_tuple
+from repro.query.evaluate import Row
 from repro.query.parser import parse_query
 
 
@@ -115,6 +117,25 @@ def test_acquire_respects_selections(small_world):
     }
     assert rows["A"] == []
     assert len(rows["B"]) == len(sensor_ids)
+
+
+def test_evaluate_arrived_joins_the_records_themselves(small_world, q2_style, monkeypatch):
+    """A complete tuple is a Row: the base station joins every arrived
+    record as it is, under each alias its flags name, without copying."""
+    fmt = TupleFormat(q2_style, small_world)
+    records = list(acquire(fmt, small_world.network.sensor_node_ids).values())
+    assert records and all(isinstance(record, Row) for record in records)
+    joined = {}
+
+    def capture(query, tuples_by_alias):
+        joined.update(tuples_by_alias)
+        return "result"
+
+    monkeypatch.setattr(base, "evaluate_join", capture)
+    assert base.evaluate_arrived(q2_style, fmt, records) == "result"
+    for alias in fmt.aliases:
+        expected = [r for r in records if r.flags & fmt.alias_bit(alias)]
+        assert [id(row) for row in joined[alias]] == [id(r) for r in expected]
 
 
 def test_encoded_points_bytes_matches_codec(fmt):

@@ -20,6 +20,34 @@ def test_selection_vs_join_predicate_split():
     assert len(query.conjuncts) == 3
 
 
+def test_where_clause_is_split_once(monkeypatch):
+    """Construction splits the WHERE clause; the accessors hand out copies
+    and never walk a predicate tree again."""
+    from repro.query import expressions
+
+    query = parse_query(
+        "SELECT A.temp FROM s A, s B "
+        "WHERE A.temp > 20 AND A.temp - B.temp > 1 AND distance(A.x, A.y, B.x, B.y) > 9 ONCE"
+    )
+
+    def walked(self):
+        raise AssertionError("columns() walked after construction")
+
+    for cls in vars(expressions).values():
+        if isinstance(cls, type) and "columns" in vars(cls):
+            monkeypatch.setattr(cls, "columns", walked)
+    assert len(query.selection_predicates("A")) == 1
+    assert query.selection_predicates("B") == []
+    assert len(query.join_predicates) == 2
+    assert query.join_attributes("A") == query.join_attributes("B") == ["temp", "x", "y"]
+    query.selection_predicates("A").clear()
+    query.join_predicates.clear()
+    query.join_attributes("A").clear()
+    assert len(query.selection_predicates("A")) == 1
+    assert len(query.join_predicates) == 2
+    assert query.join_attributes("A") == ["temp", "x", "y"]
+
+
 def test_join_attributes_exclude_selection_only_attrs():
     query = parse_query(
         "SELECT A.light FROM s A, s B WHERE A.hum > 30 AND A.temp - B.temp > 1 ONCE"

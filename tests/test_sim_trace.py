@@ -291,6 +291,34 @@ class TestEventKindRegistry:
             ("query/evaluate.py", "_reference_semijoin_two_way"),
         }
 
+    def test_sizes_not_bitstrings(self):
+        """Grep-proof: the protocol prices quadtrees, it never builds them.
+
+        Under ``src/repro``, only ``codec/`` and ``verify/`` call ``.encode(``
+        or ``.decode(`` on a name or attribute ending in ``codec``; every
+        other path sizes a point set with ``encoded_size_bits``.
+        """
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        calls = []
+        for file in sorted(src.rglob("*.py")):
+            path = file.relative_to(src).as_posix()
+            if path.startswith(("codec/", "verify/")):
+                continue
+            for node in ast.walk(ast.parse(file.read_text())):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("encode", "decode")
+                ):
+                    continue
+                receiver = node.func.value
+                name = receiver.id if isinstance(receiver, ast.Name) else getattr(
+                    receiver, "attr", ""
+                )
+                if name.endswith("codec"):
+                    calls.append((path, node.lineno))
+        assert calls == []
+
     def test_one_fault_applier(self):
         """Grep-proof: every recovery model changes the topology the same way.
 

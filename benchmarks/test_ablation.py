@@ -6,21 +6,18 @@ Not a paper figure: quantifies each mechanism's individual contribution
 
 import pytest
 
-from repro.bench.experiments import ablation_study
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.joins.sensjoin import SensJoin, SensJoinConfig
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = ablation_study()
-    register_series(
-        result,
+    return run_series(
+        "ablation",
         "every disabled mechanism costs transmissions; D_max=30 close to best",
     )
-    return result
 
 
 def rows_by_variant(series):

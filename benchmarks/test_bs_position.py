@@ -7,18 +7,17 @@ magnitude (deeper trees -> more interior forwarding -> larger savings).
 
 import pytest
 
-from repro.bench.experiments import bs_position_study
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.joins.external import ExternalJoin
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = bs_position_study(node_count=300)
-    register_series(result, "SENS-Join wins for every placement; depth modulates magnitude")
-    return result
+    return run_series(
+        "bs_position", "SENS-Join wins for every placement; depth modulates magnitude"
+    )
 
 
 def test_sens_wins_everywhere(series):

@@ -8,22 +8,19 @@ factor on the byte volume.
 
 import pytest
 
-from repro.bench.experiments import compression_table
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.codec.compression import compressed_size, encode_raw_tuples
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = compression_table()
-    register_series(
-        result,
+    return run_series(
+        "compression_table",
         "paper packets: none 5619, bzip2 5666, zlib 4571, quadtree 2762 "
         "(ordering: quadtree < zlib <= none <= bzip2)",
     )
-    return result
 
 
 def test_quadtree_is_best(series):

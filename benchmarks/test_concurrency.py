@@ -12,29 +12,19 @@ the numbers below can only come from exact executions.
 
 import pytest
 
-from repro.bench.experiments import concurrency_study
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.service import BrokerConfig, QueryBroker, QueryRequest
 
-from conftest import register_series
-
-CONCURRENCY_LEVELS = (1, 2, 4, 8)
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = concurrency_study(
-        workloads=("poisson", "bursty"),
-        concurrency_levels=CONCURRENCY_LEVELS,
-        node_count=150,
-        seed=0,
-    )
-    register_series(
-        result,
+    return run_series(
+        "concurrency",
         "beyond the paper: energy amortization grows with concurrency; "
         "bursty load benefits most",
     )
-    return result
 
 
 def test_sharing_saves_energy_at_high_concurrency(series):

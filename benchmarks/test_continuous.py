@@ -8,19 +8,15 @@ advantage degrades gracefully toward the snapshot cost.
 
 import pytest
 
-from repro.bench.experiments import continuous_study
-
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = continuous_study(node_count=300, rounds=5)
-    register_series(
-        result,
+    return run_series(
+        "continuous",
         "steady-state saving largest at slow drift, degrading with drift rate",
     )
-    return result
 
 
 def test_slow_drift_saves_substantially(series):

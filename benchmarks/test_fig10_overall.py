@@ -7,25 +7,19 @@ nodes join.
 
 import pytest
 
-from repro.bench.experiments import fig10_overall
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.joins.sensjoin import SensJoin
 
-from conftest import register_series
-
-FRACTIONS = (0.01, 0.03, 0.05, 0.10, 0.20, 0.40, 0.60, 0.80)
+from conftest import run_series
 
 
 @pytest.fixture(scope="module", params=["33", "60"])
 def series(request):
-    ratio = request.param
-    result = fig10_overall(ratio, fractions=FRACTIONS)
-    register_series(
-        result,
+    return run_series(
+        f"fig10_{request.param}",
         "savings large at small fractions (paper: up to 80%/66%), "
         "break-even once 60-80% of nodes join",
     )
-    return result
 
 
 def test_fig10_shape(series):

@@ -6,21 +6,18 @@ Paper: the most loaded nodes are relieved by more than an order of magnitude
 
 import pytest
 
-from repro.bench.experiments import fig11_per_node
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.joins.external import ExternalJoin
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module", params=["33", "60"])
 def series(request):
-    result = fig11_per_node(request.param)
-    register_series(
-        result,
+    return run_series(
+        f"fig11_{request.param}",
         "most-loaded node relieved >10x at ratio 33%, >75% (4x) at 60%",
     )
-    return result
 
 
 def test_most_loaded_node_strongly_relieved(series):

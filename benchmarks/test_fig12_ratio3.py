@@ -6,21 +6,18 @@ SENS-Join saves transmissions thanks to the quadtree representation.
 
 import pytest
 
-from repro.bench.experiments import fig12_ratio3
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.joins.sensjoin import SensJoin
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = fig12_ratio3()
-    register_series(
-        result,
+    return run_series(
+        "fig12",
         "savings grow as 3/x falls (x: 3 -> 5); still competitive at 100% ratio",
     )
-    return result
 
 
 def test_lower_ratio_saves_more(series):

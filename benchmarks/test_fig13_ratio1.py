@@ -6,21 +6,18 @@ point is the worst case (100% ratio) and bounds the savings from below.
 
 import pytest
 
-from repro.bench.experiments import fig13_ratio1
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.joins.sensjoin import SensJoin
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = fig13_ratio1()
-    register_series(
-        result,
+    return run_series(
+        "fig13",
         "savings grow as 1/x falls (x: 1 -> 5); x=1 is the lower bound",
     )
-    return result
 
 
 def test_more_attributes_more_savings(series):

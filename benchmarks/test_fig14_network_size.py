@@ -6,19 +6,15 @@ Paper: absolute savings grow slightly superlinearly with the network size
 
 import pytest
 
-from repro.bench.experiments import fig14_network_size
-
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = fig14_network_size()
-    register_series(
-        result,
+    return run_series(
+        "fig14",
         "absolute saved transmissions grow (slightly superlinearly) with size",
     )
-    return result
 
 
 def test_absolute_savings_grow_with_size(series):

@@ -7,21 +7,18 @@ fraction of nodes in the result.
 
 import pytest
 
-from repro.bench.experiments import fig15_step_breakdown
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.joins.sensjoin import SensJoin
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = fig15_step_breakdown()
-    register_series(
-        result,
+    return run_series(
+        "fig15",
         "collection cost constant in the fraction; filter + final grow with it",
     )
-    return result
 
 
 def test_collection_cost_constant(series):

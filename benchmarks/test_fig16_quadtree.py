@@ -8,21 +8,18 @@ a single packet).
 
 import pytest
 
-from repro.bench.experiments import fig16_quadtree_influence
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.joins.sensjoin import SensJoin, SensJoinConfig
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = fig16_quadtree_influence()
-    register_series(
-        result,
+    return run_series(
+        "fig16",
         "collection: external > sens-no-quad > sens-join (quadtree ~halves bytes)",
     )
-    return result
 
 
 def test_join_attr_only_cheaper_than_external(series):

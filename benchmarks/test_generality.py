@@ -13,29 +13,26 @@ result) and loses on the general workload.
 
 import pytest
 
-from repro.bench.experiments import generality_study, related_work_study
 from repro.bench.workloads import build_scenario
 from repro.joins.sensjoin import SensJoin
 from repro.query.parser import parse_query
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def battery():
-    series = generality_study()
-    register_series(series, "every shape exact; SENS-Join cheaper at ~5-10% fractions")
-    return series
+    return run_series(
+        "generality", "every shape exact; SENS-Join cheaper at ~5-10% fractions"
+    )
 
 
 @pytest.fixture(scope="module")
 def niche():
-    series = related_work_study()
-    register_series(
-        series,
+    return run_series(
+        "related_work",
         "mediated join wins only in its two-region niche (§II)",
     )
-    return series
 
 
 def test_every_shape_exact(battery):

@@ -7,22 +7,19 @@ leaves".  This bench records every node's stored size by tree depth.
 
 import pytest
 
-from repro.bench.experiments import memory_study
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.obs.telemetry import Telemetry
 from repro.sim.trace import ListTracer
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = memory_study()
-    register_series(
-        result,
+    return run_series(
+        "memory",
         "stored bytes fall with depth; the 500 B cap binds near the root only",
     )
-    return result
 
 
 def test_memory_falls_with_depth(series):

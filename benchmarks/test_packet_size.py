@@ -7,22 +7,19 @@ about an order of magnitude.
 
 import pytest
 
-from repro.bench.experiments import packet_size_study
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.joins.sensjoin import SensJoin
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = packet_size_study()
-    register_series(
-        result,
+    return run_series(
+        "packet_size",
         "124B packets: external gains more overall, but near-root nodes stay "
         "~an order of magnitude better off under SENS-Join",
     )
-    return result
 
 
 def test_external_gains_more_from_large_packets(series):

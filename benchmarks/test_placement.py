@@ -9,21 +9,18 @@ large as its input.
 
 import pytest
 
-from repro.bench.experiments import placement_study
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.joins.placement import analyze_join_location
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = placement_study()
-    register_series(
-        result,
+    return run_series(
+        "placement",
         "base station optimal at every fraction once the filter applied",
     )
-    return result
 
 
 def test_base_station_always_optimal_post_filter(series):

@@ -7,22 +7,19 @@ coarse resolutions produce false positives (never wrong results).
 
 import pytest
 
-from repro.bench.experiments import resolution_study
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.joins.sensjoin import SensJoin
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = resolution_study()
-    register_series(
-        result,
+    return run_series(
+        "resolution",
         "plateau through ~0.5 degC; cost + false positives rise when coarse; "
         "always exact",
     )
-    return result
 
 
 def test_exact_at_every_resolution(series):

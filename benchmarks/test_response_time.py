@@ -6,19 +6,16 @@ upper bounded by at most twice the duration of the external join".
 
 import pytest
 
-from repro.bench.experiments import response_time_study
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.joins.external import ExternalJoin
 from repro.joins.sensjoin import SensJoin
 
-from conftest import register_series
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = response_time_study(fractions=(0.05, 0.20, 0.40))
-    register_series(result, "sens/external response-time ratio <= 2 everywhere")
-    return result
+    return run_series("response_time", "sens/external response-time ratio <= 2 everywhere")
 
 
 def test_ratio_bounded_by_two(series):

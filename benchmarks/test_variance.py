@@ -8,20 +8,15 @@ and the most loaded node is relieved everywhere.
 
 import pytest
 
-from repro.bench.experiments import variance_study
 from repro.bench.workloads import build_scenario, calibrated_query
 from repro.joins.sensjoin import SensJoin
 
-from conftest import register_series
-
-SEEDS = (0, 1, 2, 3, 4)
+from conftest import run_series
 
 
 @pytest.fixture(scope="module")
 def series():
-    result = variance_study(seeds=SEEDS)
-    register_series(result, "positive savings for every seed; modest spread")
-    return result
+    return run_series("variance", "positive savings for every seed; modest spread")
 
 
 def test_sens_wins_for_every_seed(series):

@@ -20,8 +20,7 @@ full control.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Union
 
 from . import constants
@@ -106,22 +105,16 @@ class SensorNetworkDB:
         if (network is None) != (world is None):
             raise ValueError("pass both network and world, or neither")
         if network is None:
-            if area_side_m is None:
-                density = constants.PAPER_NODE_COUNT / constants.PAPER_AREA_SIDE_M**2
-                area_side_m = math.sqrt(node_count / density)
-            config = DeploymentConfig(
-                node_count=node_count,
-                area_side_m=area_side_m,
-                seed=seed,
-                loss_rate=loss_rate,
-            )
+            config = DeploymentConfig(seed=seed, loss_rate=loss_rate).scaled(node_count)
+            if area_side_m is not None:
+                config = replace(config, area_side_m=area_side_m)
             network = deploy_uniform(config, packet_format=PacketFormat(max_packet_bytes))
             world = SensorWorld.homogeneous(
                 network,
                 seed=seed,
                 length_scale=length_scale,
                 drift_rate=drift_rate,
-                area_side_m=area_side_m,
+                area_side_m=config.area_side_m,
             )
         assert world is not None
         self.network = network

@@ -28,8 +28,9 @@ Results land under ``--results-dir`` (default ``benchmarks/results``):
 ``<experiment>.csv`` per experiment, ``series.json`` (the lossless bundle
 ``report`` reads), ``run_manifest.json`` (per-cell timings and cache hits),
 and the result cache under ``.cache/``.  The rendered report goes to
-``--out`` (default ``experiment_report_<scale>.txt``, matching the old
-``scripts/run_all_experiments.py``).
+``--out`` (default ``experiment_report_<scale>.txt``).  The figure suite
+(``pytest benchmarks``) runs the same registry cells and writes the same
+CSV names.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from ..errors import ReproError
 from .cache import ResultCache
 from .harness import experiment_specs, run_experiments, run_sharded_deployment
 from .reporting import ExperimentSeries, render_table, save_csv
+from .workloads import SCALE_NODE_COUNTS
 
 DEFAULT_RESULTS_DIR = Path("benchmarks") / "results"
 SERIES_BUNDLE = "series.json"
@@ -53,20 +55,10 @@ MANIFEST_NAME = "run_manifest.json"
 SHARD_MANIFEST_NAME = "shard_manifest.json"
 
 
-def _resolve_node_count(args: argparse.Namespace) -> int:
-    from .. import constants
-
-    if args.nodes is not None:
-        if args.nodes < 2:
-            raise ValueError(f"--nodes must be >= 2: {args.nodes}")
-        return args.nodes
-    return constants.PAPER_NODE_COUNT if args.scale == "paper" else 600
-
-
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale",
-        choices=["bench", "paper"],
+        choices=list(SCALE_NODE_COUNTS),
         default="bench",
         help="bench = 600 nodes (CI default), paper = 1500 nodes",
     )
@@ -94,7 +86,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 2
 
-    node_count = _resolve_node_count(args)
+    node_count = args.nodes if args.nodes is not None else SCALE_NODE_COUNTS[args.scale]
     started = time.perf_counter()
     run = run_experiments(
         args.patterns or None,
@@ -142,7 +134,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    node_count = _resolve_node_count(args)
+    node_count = args.nodes if args.nodes is not None else SCALE_NODE_COUNTS[args.scale]
     specs = experiment_specs(node_count)
     width = max(len(name) for name in specs)
     print(f"# experiments at {node_count} nodes (cells run in parallel)")

@@ -14,8 +14,11 @@ reproduce the serial output byte for byte.  Keep it that way — no state may
 leak from one loop iteration into the next, and summary notes must be
 recomputable from the emitted rows alone.
 
-Scale note: absolute packet counts depend on the network size (default 600
-nodes, ``REPRO_SCALE=paper`` for 1500) — the comparisons are ratios and
+The functions default only what their figure fixes (ratio, result
+fraction, seed, rounds).  Sweep axes and node counts are required: the
+harness registry (:func:`repro.bench.harness.experiment_specs`) declares
+them once, for the bench CLI and the figure suite alike.  Absolute packet
+counts depend on the network size — the comparisons are ratios and
 orderings, which is what the reproduction targets.
 """
 
@@ -40,7 +43,6 @@ from .workloads import (
     Scenario,
     build_scenario,
     calibrated_query,
-    default_node_count,
     ratio_query_builder,
 )
 
@@ -81,9 +83,6 @@ RATIO_SETTINGS = {
     "60": (3, 5),  # three join attributes, five attributes overall
 }
 
-#: Result fractions swept in Fig. 10 (the paper plots roughly 0-80 %).
-DEFAULT_FRACTIONS = (0.01, 0.03, 0.05, 0.10, 0.20, 0.40, 0.60, 0.80)
-
 
 def _ratio_counts(ratio: str) -> tuple[int, int]:
     try:
@@ -111,8 +110,9 @@ def _run_pair(scenario: Scenario, query, sens_config: Optional[SensJoinConfig] =
 
 def fig10_overall(
     ratio: str = "33",
-    fractions: Sequence[float] = DEFAULT_FRACTIONS,
-    node_count: Optional[int] = None,
+    *,
+    fractions: Sequence[float],
+    node_count: int,
     seed: int = 0,
 ) -> ExperimentSeries:
     """Total transmissions of both methods as the result fraction grows.
@@ -151,8 +151,9 @@ def fig10_overall(
 
 def fig11_per_node(
     ratio: str = "33",
+    *,
+    node_count: int,
     fraction: float = constants.PAPER_RESULT_FRACTION,
-    node_count: Optional[int] = None,
     seed: int = 0,
     bins: int = 8,
 ) -> ExperimentSeries:
@@ -219,7 +220,7 @@ def _ratio_sweep(
     join_attrs: int,
     totals: Sequence[int],
     fraction: float,
-    node_count: Optional[int],
+    node_count: int,
     seed: int,
 ) -> ExperimentSeries:
     scenario = build_scenario(node_count, seed)
@@ -244,16 +245,17 @@ def _ratio_sweep(
 
 
 def fig12_ratio3(
+    *,
+    totals: Sequence[int],
+    node_count: int,
     fraction: float = constants.PAPER_RESULT_FRACTION,
-    node_count: Optional[int] = None,
     seed: int = 0,
-    totals: Sequence[int] = (5, 4, 3),
 ) -> ExperimentSeries:
     """Three join attributes; attributes overall swept 5 -> 3 (Fig. 12).
 
     Savings grow as the ratio falls; even at the 100 % ratio SENS-Join still
     saves transmissions thanks to the quadtree representation.  ``totals``
-    is the sweep axis (one value per row; exposed for the cell harness).
+    is the sweep axis (one value per row).
     """
     return _ratio_sweep(
         "fig12", "3 join attributes / x attributes overall", 3, tuple(totals),
@@ -262,10 +264,11 @@ def fig12_ratio3(
 
 
 def fig13_ratio1(
+    *,
+    totals: Sequence[int],
+    node_count: int,
     fraction: float = constants.PAPER_RESULT_FRACTION,
-    node_count: Optional[int] = None,
     seed: int = 0,
-    totals: Sequence[int] = (1, 2, 3, 4, 5),
 ) -> ExperimentSeries:
     """One join attribute; attributes overall swept 1 -> 5 (Fig. 13)."""
     return _ratio_sweep(
@@ -281,21 +284,19 @@ def fig13_ratio1(
 
 def fig14_network_size(
     ratio: str = "33",
+    *,
+    node_counts: Sequence[int],
     fraction: float = constants.PAPER_RESULT_FRACTION,
-    node_counts: Optional[Sequence[int]] = None,
     seed: int = 0,
 ) -> ExperimentSeries:
     """Savings across network sizes at constant density (Fig. 14).
 
     The paper sweeps 1000-2500 nodes and finds the savings slightly
     superlinear in the network size (the Treecut start-up region matters
-    less in larger networks).  The default sweep scales the paper's sizes by
-    the bench scale factor.
+    less in larger networks).  The registry scales the paper's sizes by the
+    run's scale factor.
     """
     join_attrs, total_attrs = _ratio_counts(ratio)
-    if node_counts is None:
-        scale = default_node_count() / constants.PAPER_NODE_COUNT
-        node_counts = [int(round(n * scale)) for n in (1000, 1500, 2000, 2500)]
     series = ExperimentSeries(
         experiment="fig14",
         title="Influence of the network size (constant density)",
@@ -323,8 +324,9 @@ def fig14_network_size(
 
 def fig15_step_breakdown(
     ratio: str = "60",
-    fractions: Sequence[float] = (0.03, 0.05, 0.09, 0.25),
-    node_count: Optional[int] = None,
+    *,
+    fractions: Sequence[float],
+    node_count: int,
     seed: int = 0,
 ) -> ExperimentSeries:
     """Per-step transmissions of SENS-Join at several result fractions.
@@ -366,8 +368,9 @@ def fig15_step_breakdown(
 
 
 def fig16_quadtree_influence(
+    *,
+    node_count: int,
     fraction: float = 0.04,
-    node_count: Optional[int] = None,
     seed: int = 0,
 ) -> ExperimentSeries:
     """External join vs SENS-Join without/with the quadtree (Fig. 16).
@@ -395,7 +398,8 @@ def fig16_quadtree_influence(
 
 
 def compression_table(
-    node_count: Optional[int] = None,
+    *,
+    node_count: int,
     seed: int = 0,
 ) -> ExperimentSeries:
     """General-purpose compressors vs the quadtree (§VI-B text table).
@@ -436,12 +440,10 @@ def compression_table(
 
 def packet_size_study(
     ratio: str = "33",
+    *,
+    packet_sizes: Sequence[int],
+    node_count: int,
     fraction: float = constants.PAPER_RESULT_FRACTION,
-    packet_sizes: Sequence[int] = (
-        constants.DEFAULT_MAX_PACKET_BYTES,
-        constants.LARGE_MAX_PACKET_BYTES,
-    ),
-    node_count: Optional[int] = None,
     seed: int = 0,
 ) -> ExperimentSeries:
     """Influence of the maximum packet size (§VI-A, last paragraph).
@@ -479,8 +481,9 @@ def packet_size_study(
 
 def response_time_study(
     ratio: str = "33",
-    fractions: Sequence[float] = (0.05, 0.20, 0.40),
-    node_count: Optional[int] = None,
+    *,
+    fractions: Sequence[float],
+    node_count: int,
     seed: int = 0,
 ) -> ExperimentSeries:
     """Response time tradeoff (§VII).
@@ -510,8 +513,9 @@ def response_time_study(
 
 def ablation_study(
     ratio: str = "33",
+    *,
+    node_count: int,
     fraction: float = constants.PAPER_RESULT_FRACTION,
-    node_count: Optional[int] = None,
     seed: int = 0,
 ) -> ExperimentSeries:
     """Ablate the paper's design choices (DESIGN.md experiment A1).
@@ -558,9 +562,10 @@ def ablation_study(
 
 
 def continuous_study(
-    drift_rates: Sequence[float] = (0.0001, 0.0005, 0.002),
-    rounds: int = 6,
-    node_count: Optional[int] = None,
+    *,
+    drift_rates: Sequence[float],
+    node_count: int,
+    rounds: int = 5,
     seed: int = 9,
     fraction: float = constants.PAPER_RESULT_FRACTION,
 ):
@@ -579,12 +584,7 @@ def continuous_study(
     from ..sim.network import DeploymentConfig, deploy_uniform
     from .calibrate import calibrate_threshold
 
-    if node_count is None:
-        node_count = min(default_node_count(), 600)
-    config = DeploymentConfig().scaled(node_count)
-    config = DeploymentConfig(
-        node_count=config.node_count, area_side_m=config.area_side_m, seed=seed
-    )
+    config = DeploymentConfig(seed=seed).scaled(node_count)
     network = deploy_uniform(config)
     series = ExperimentSeries(
         experiment="continuous",
@@ -638,8 +638,9 @@ def continuous_study(
 
 def placement_study(
     ratio: str = "33",
-    fractions: Sequence[float] = (0.05, 0.20, 0.60),
-    node_count: Optional[int] = None,
+    *,
+    fractions: Sequence[float],
+    node_count: int,
     seed: int = 0,
 ):
     """Validate §IV-E: post-filtering, the base station is the right place.
@@ -653,7 +654,6 @@ def placement_study(
     location".
     """
     from ..joins.placement import analyze_join_location
-    from ..joins.sensjoin import SensJoin
 
     join_attrs, total_attrs = _ratio_counts(ratio)
     scenario = build_scenario(node_count, seed)
@@ -700,8 +700,9 @@ def placement_study(
 
 def memory_study(
     ratio: str = "60",
+    *,
+    node_count: int,
     fraction: float = constants.PAPER_RESULT_FRACTION,
-    node_count: Optional[int] = None,
     seed: int = 0,
     depth_buckets: int = 5,
 ):
@@ -766,7 +767,8 @@ def memory_study(
 
 
 def generality_study(
-    node_count: Optional[int] = None,
+    *,
+    node_count: int,
     seed: int = 0,
 ):
     """Exercise the paper's Requirements 1 and 2 across query shapes.
@@ -779,8 +781,6 @@ def generality_study(
     a heterogeneous two-relation join.
     """
     from ..data.relations import SensorWorld
-    from ..joins.external import ExternalJoin
-    from ..joins.sensjoin import SensJoin
     from ..joins.runner import run_snapshot
     from ..query.parser import parse_query
 
@@ -860,10 +860,8 @@ def related_work_study(seed: int = 3):
     In that niche the mediated join beats the external join; on the paper's
     general workload it loses badly.  Both regimes in one table.
     """
-    from ..data.relations import SensorWorld
-    from ..joins.external import ExternalJoin
+    from ..data.relations import SensorWorld, default_fields
     from ..joins.mediated import MediatedJoin
-    from ..joins.sensjoin import SensJoin
     from ..joins.runner import run_snapshot
     from ..query.parser import parse_query
     from ..sim.network import DeploymentConfig, deploy_uniform
@@ -887,9 +885,7 @@ def related_work_study(seed: int = 3):
                  if region(network.nodes[n], 330.0, 400.0)]
     world = SensorWorld(
         network,
-        __import__("repro.data.relations", fromlist=["default_fields"]).default_fields(
-            470.0, seed=seed
-        ),
+        default_fields(470.0, seed=seed),
         relations={"rel_a": members_a, "rel_b": [n for n in members_b
                                                  if n not in set(members_a)]},
     )
@@ -921,9 +917,10 @@ def related_work_study(seed: int = 3):
 
 def variance_study(
     ratio: str = "33",
+    *,
+    seeds: Sequence[int],
+    node_count: int,
     fraction: float = constants.PAPER_RESULT_FRACTION,
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    node_count: Optional[int] = None,
 ):
     """The headline comparison across independent deployments.
 
@@ -980,9 +977,10 @@ def variance_summary_note(savings_values: Sequence[float]) -> str:
 
 
 def resolution_study(
-    resolutions: Sequence[float] = (0.02, 0.05, 0.1, 0.5, 1.0, 2.0, 4.0),
+    *,
+    resolutions: Sequence[float],
+    node_count: int,
     fraction: float = constants.PAPER_RESULT_FRACTION,
-    node_count: Optional[int] = None,
     seed: int = 0,
 ):
     """Sweep the temperature quantization resolution (§V-B).
@@ -995,8 +993,6 @@ def resolution_study(
     """
     from ..data.relations import SensorWorld, default_fields
     from ..data.sensors import SensorCatalog, SensorSpec, standard_catalog
-    from ..joins.external import ExternalJoin
-    from ..joins.sensjoin import SensJoin
     from ..joins.runner import run_snapshot
 
     scenario = build_scenario(node_count, seed)
@@ -1058,9 +1054,10 @@ def resolution_study(
 
 
 def loss_study(
-    loss_rates: Sequence[float] = (0.0, 0.05, 0.1, 0.2, 0.3),
+    *,
+    loss_rates: Sequence[float],
+    node_count: int,
     fraction: float = constants.PAPER_RESULT_FRACTION,
-    node_count: Optional[int] = None,
     seed: int = 0,
 ) -> ExperimentSeries:
     """Every join method under increasing worst-link packet loss (§IV-F).
@@ -1119,8 +1116,9 @@ def loss_study(
 
 
 def bs_position_study(
+    *,
+    node_count: int,
     fraction: float = constants.PAPER_RESULT_FRACTION,
-    node_count: Optional[int] = None,
     seed: int = 0,
 ):
     """The headline comparison for different base-station placements.
@@ -1130,18 +1128,13 @@ def bs_position_study(
     (deeper still) and area-centre (shallowest) are compared.
     """
     from ..data.relations import SensorWorld
-    from ..joins.external import ExternalJoin
-    from ..joins.sensjoin import SensJoin
     from ..joins.runner import run_snapshot
     from ..routing.ctp import build_tree
     from ..sim.network import DeploymentConfig, deploy_uniform
     from ..sim.radio import PacketFormat
     from .calibrate import calibrate_threshold
 
-    if node_count is None:
-        node_count = default_node_count()
-    base = DeploymentConfig().scaled(node_count)
-    side = base.area_side_m
+    side = DeploymentConfig().scaled(node_count).area_side_m
     placements = [
         ("edge-centre", (side / 2.0, 0.0)),
         ("corner", (0.0, 0.0)),
@@ -1184,9 +1177,10 @@ def bs_position_study(
 
 
 def failure_study(
-    crash_fractions: Sequence[float] = (0.0, 0.02, 0.05, 0.1),
+    *,
+    crash_fractions: Sequence[float],
+    node_count: int,
     fraction: float = constants.PAPER_RESULT_FRACTION,
-    node_count: Optional[int] = None,
     seed: int = 0,
     max_retries: int = 6,
 ) -> ExperimentSeries:
@@ -1216,8 +1210,6 @@ def failure_study(
     from ..routing.ctp import build_tree
     from ..sim.faults import random_crash_plan
 
-    if node_count is None:
-        node_count = min(default_node_count(), 300)
     scenario = build_scenario(node_count, seed)
     query = calibrated_query(scenario, *RATIO_SETTINGS["33"], fraction)
     config = scenario.config
@@ -1299,11 +1291,12 @@ def failure_study(
 
 
 def concurrency_study(
-    workloads: Sequence[str] = ("poisson", "bursty"),
-    concurrency_levels: Sequence[int] = (1, 2, 4, 8),
+    *,
+    workloads: Sequence[str],
+    concurrency_levels: Sequence[int],
+    node_count: int,
     query_count: int = 16,
     rate_hz: float = 2.0,
-    node_count: Optional[int] = None,
     seed: int = 0,
 ) -> ExperimentSeries:
     """Concurrent multi-query broker: shared-work amortization vs serial.
@@ -1327,8 +1320,6 @@ def concurrency_study(
     from ..service.broker import BrokerConfig, QueryBroker
     from ..service.workloads import WorkloadSpec, generate_workload
 
-    if node_count is None:
-        node_count = min(default_node_count(), 300)
     scenario = build_scenario(node_count, seed)
     # Template pool, hottest first: three selectivities of the 1/3-ratio
     # family (share one quantized domain -> filters compose) plus one
@@ -1402,11 +1393,12 @@ def concurrency_study(
 
 
 def churn_study(
-    churn_rates: Sequence[float] = (0.0, 0.1, 0.2),
-    concurrency_levels: Sequence[int] = (1, 8),
+    *,
+    churn_rates: Sequence[float],
+    concurrency_levels: Sequence[int],
+    node_count: int,
     query_count: int = 12,
     rate_hz: float = 2.0,
-    node_count: Optional[int] = None,
     seed: int = 0,
     churn_horizon_s: float = 4.0,
 ) -> ExperimentSeries:
@@ -1439,8 +1431,6 @@ def churn_study(
     from ..sim.faults import ChurnModel
     from ..sim.network import deploy_uniform
 
-    if node_count is None:
-        node_count = min(default_node_count(), 300)
     scenario = build_scenario(node_count, seed)
     # Same template pool as concurrency_study, so the zero-churn rows are
     # directly comparable with that experiment's workload.
@@ -1528,12 +1518,12 @@ def churn_study(
 
 #: Node-count ladder of the scale study, defined at the default bench scale.
 #: ``scale_node_counts`` rescales it linearly, so ``--nodes`` pins the whole
-#: ladder the same way ``fig14_network_size`` pins its sweep: the default 600
+#: ladder the same way the registry pins Fig. 14's sweep: the default 600
 #: runs exactly 1k/5k/10k, a ``--nodes 100`` smoke runs 167/833/1667.
 SCALE_LADDER = (1000, 5000, 10000)
 
-#: The bench default the ladder is calibrated against (not
-#: :func:`default_node_count`, which moves under ``REPRO_SCALE=paper``).
+#: The bench default the ladder is calibrated against (not the run's node
+#: count, which moves under ``--scale paper``).
 SCALE_BASE_NODE_COUNT = 600
 
 
@@ -1544,9 +1534,9 @@ def scale_node_counts(node_count: int) -> List[int]:
 
 
 def scale_study(
-    node_counts: Optional[Sequence[int]] = None,
-    routings: Sequence[str] = ("flat", "cluster"),
-    node_count: Optional[int] = None,
+    *,
+    node_counts: Sequence[int],
+    routings: Sequence[str],
     seed: int = 0,
     threshold: float = 6.0,
 ) -> ExperimentSeries:
@@ -1575,10 +1565,6 @@ def scale_study(
     from ..routing.ctp import build_tree
     from ..sim.network import DeploymentConfig, deploy_uniform
 
-    if node_count is None:
-        node_count = default_node_count()
-    if node_counts is None:
-        node_counts = scale_node_counts(node_count)
     query = ratio_query_builder(*RATIO_SETTINGS["33"])(threshold)
     series = ExperimentSeries(
         experiment="scale",
@@ -1591,14 +1577,7 @@ def scale_study(
     )
     for count in node_counts:
         for routing in routings:
-            base = DeploymentConfig().scaled(count)
-            config = DeploymentConfig(
-                node_count=base.node_count,
-                area_side_m=base.area_side_m,
-                radio_range_m=base.radio_range_m,
-                seed=seed,
-                routing=routing,
-            )
+            config = DeploymentConfig(seed=seed).scaled(count)
             started = time.perf_counter()
             network = deploy_uniform(config)
             build_s = time.perf_counter() - started
@@ -1687,14 +1666,7 @@ def scale_shard(
             f"deployment must be one of {sorted(deployers)}: {deployment!r}"
         )
 
-    base = DeploymentConfig().scaled(node_count)
-    config = DeploymentConfig(
-        node_count=base.node_count,
-        area_side_m=base.area_side_m,
-        radio_range_m=base.radio_range_m,
-        seed=seed,
-        routing=routing,
-    )
+    config = DeploymentConfig(seed=seed).scaled(node_count)
     started = time.perf_counter()
     network = deployers[deployment](config)
     build_s = time.perf_counter() - started

@@ -14,9 +14,9 @@ How that identity is achieved:
 * a cell re-invokes the *same* experiment function with a single-point
   sweep (e.g. ``fig10_overall("33", fractions=[0.05], ...)``), so each row
   is computed by exactly the code that computes it serially;
-* every cell is fully pinned — node counts, seeds and sweep axes are
-  resolved in the parent before dispatch, so workers never consult
-  environment variables;
+* every cell is fully pinned — :func:`experiment_specs` is the one place
+  that declares each experiment's sweep points and node count, the
+  functions require both, and workers never consult environment variables;
 * assembly concatenates the single-point series in sweep order (never in
   completion order) and deduplicates notes; experiments whose summary
   note spans the whole sweep (``variance``) or that cross-check rows
@@ -43,11 +43,7 @@ from .. import constants
 from ..errors import ProtocolError
 from ..obs.metrics import MetricsRegistry
 from .cache import CACHE_DIR_ENV, ResultCache, cache_key, code_fingerprint
-from .experiments import (
-    DEFAULT_FRACTIONS,
-    scale_node_counts,
-    variance_summary_note,
-)
+from .experiments import scale_node_counts, variance_summary_note
 from .reporting import ExperimentSeries
 from .workloads import default_node_count
 
@@ -310,53 +306,27 @@ def run_sharded_deployment(
     completeness-gated assembler regardless of worker count or completion
     order.  Returns a single-series :class:`RunResult`.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1: {jobs}")
     spec = deployment_shard_spec(
         node_count, shard_count, seed=seed, routing=routing, deployment=deployment
     )
-    fingerprint = code_fingerprint()
-    registry = MetricsRegistry()
-    cache = (
-        ResultCache(cache_dir, registry=registry)
-        if cache_dir is not None
-        else None
-    )
-    previous_env = os.environ.get(CACHE_DIR_ENV)
-    if cache is not None:
-        os.environ[CACHE_DIR_ENV] = str(cache_dir)
-    try:
-        results = _run_cells(spec.cells, jobs, cache, fingerprint, progress)
-    finally:
-        if cache is not None:
-            if previous_env is None:
-                os.environ.pop(CACHE_DIR_ENV, None)
-            else:
-                os.environ[CACHE_DIR_ENV] = previous_env
-    by_cell = {id(result.cell): result for result in results}
-    ordered = [by_cell[id(cell)] for cell in spec.cells]
-    series = [spec.assemble([by_cell[id(cell)].series for cell in spec.cells])]
-    manifest = _build_manifest(
-        [spec], ordered, fingerprint, jobs, cache_dir, registry
-    )
-    return RunResult(series=series, results=ordered, manifest=manifest)
-
-
-def _fig14_node_counts(node_count: int) -> List[int]:
-    """Fig. 14's sweep sizes at the requested scale (mirrors the function)."""
-    scale = node_count / constants.PAPER_NODE_COUNT
-    return [int(round(n * scale)) for n in (1000, 1500, 2000, 2500)]
+    return _run_specs([spec], jobs, cache_dir, progress)
 
 
 def experiment_specs(node_count: Optional[int] = None) -> Dict[str, ExperimentSpec]:
     """The full experiment registry at one scale, in canonical order.
 
-    Every cell is fully pinned to ``node_count`` (default:
-    :func:`repro.bench.workloads.default_node_count`, i.e. 600 or the
-    paper's 1500 under ``REPRO_SCALE=paper``), so the returned specs are
-    environment-independent from here on.
+    This is the one declaration of every experiment's sweep points and node
+    count: the bench CLI and the figure suite (``benchmarks/test_*.py``)
+    both run these cells.  Every cell is fully pinned to ``node_count``
+    (default: :func:`repro.bench.workloads.default_node_count`, i.e. 600 or
+    the paper's 1500 under ``REPRO_SCALE=paper``), so the returned specs are
+    environment-independent from here on.  Five studies run at capped sizes
+    to keep their cells fast: ``bs_position``, ``continuous`` and
+    ``failure`` at 300 nodes, ``concurrency`` and ``churn`` at 150.
     """
     n = node_count if node_count is not None else default_node_count()
+    if n < 2:
+        raise ValueError(f"node_count must be >= 2: {n}")
     specs: Dict[str, ExperimentSpec] = {}
 
     def add(
@@ -382,7 +352,7 @@ def experiment_specs(node_count: Optional[int] = None) -> Dict[str, ExperimentSp
             "fig10_overall",
             [
                 {"ratio": ratio, "fractions": [f], "node_count": n, "seed": 0}
-                for f in DEFAULT_FRACTIONS
+                for f in (0.01, 0.03, 0.05, 0.10, 0.20, 0.40, 0.60, 0.80)
             ],
         )
     for ratio in ("33", "60"):
@@ -404,11 +374,16 @@ def experiment_specs(node_count: Optional[int] = None) -> Dict[str, ExperimentSp
         "fig13_ratio1",
         [{"totals": [t], "node_count": n, "seed": 0} for t in (1, 2, 3, 4, 5)],
     )
+    # The paper's sizes, scaled at constant density by the run's scale.
+    fig14_scale = n / constants.PAPER_NODE_COUNT
     add(
         "fig14",
         "influence of the network size (constant density)",
         "fig14_network_size",
-        [{"node_counts": [c], "seed": 0} for c in _fig14_node_counts(n)],
+        [
+            {"node_counts": [int(round(c * fig14_scale))], "seed": 0}
+            for c in (1000, 1500, 2000, 2500)
+        ],
     )
     add(
         "fig15",
@@ -490,7 +465,7 @@ def experiment_specs(node_count: Optional[int] = None) -> Dict[str, ExperimentSp
         "continuous queries: incremental vs snapshot (E12)",
         "continuous_study",
         [
-            {"drift_rates": [d], "node_count": min(n, 600), "seed": 9}
+            {"drift_rates": [d], "node_count": min(n, 300), "seed": 9}
             for d in (0.0001, 0.0005, 0.002)
         ],
     )
@@ -514,7 +489,7 @@ def experiment_specs(node_count: Optional[int] = None) -> Dict[str, ExperimentSp
         "bs_position",
         "savings vs base-station placement",
         "bs_position_study",
-        [{"node_count": n, "seed": 0}],
+        [{"node_count": min(n, 300), "seed": 0}],
     )
     add(
         "loss",
@@ -543,7 +518,7 @@ def experiment_specs(node_count: Optional[int] = None) -> Dict[str, ExperimentSp
             {
                 "workloads": [w],
                 "concurrency_levels": [c],
-                "node_count": min(n, 300),
+                "node_count": min(n, 150),
                 "seed": 0,
             }
             for w in ("poisson", "bursty")
@@ -558,7 +533,7 @@ def experiment_specs(node_count: Optional[int] = None) -> Dict[str, ExperimentSp
             {
                 "churn_rates": [r],
                 "concurrency_levels": [c],
-                "node_count": min(n, 300),
+                "node_count": min(n, 150),
                 "seed": 0,
             }
             for r in (0.0, 0.1, 0.2)
@@ -649,15 +624,26 @@ def run_experiments(
     Returns a :class:`RunResult` whose ``series`` list is in registry
     order and whose ``manifest`` is the machine-readable run record.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1: {jobs}")
-    specs = experiment_specs(node_count)
-    selected = select_specs(specs, patterns)
+    selected = select_specs(experiment_specs(node_count), patterns)
     empty = [spec.name for spec in selected if not spec.cells]
     if empty:
         raise ValueError(
             f"experiment(s) selected with zero cells: {', '.join(empty)}"
         )
+    return _run_specs(selected, jobs, cache_dir, progress)
+
+
+def _run_specs(
+    selected: List[ExperimentSpec],
+    jobs: int,
+    cache_dir: Optional[Path],
+    progress: Optional[Callable[[str], None]],
+) -> RunResult:
+    """The run body of :func:`run_experiments` and
+    :func:`run_sharded_deployment`: fan the cells out, then assemble each
+    spec in cell order and record the manifest."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1: {jobs}")
     cells = [cell for spec in selected for cell in spec.cells]
     fingerprint = code_fingerprint()
     registry = MetricsRegistry()
@@ -771,8 +757,6 @@ def _run_cells(
                         f"({cell.func}{cell.call_kwargs}) failed"
                     ) from error
                 finish(cell, series, elapsed)
-    for result in cached_results.values():  # jobs == 1 leftovers (none expected)
-        emit(result)
     return results
 
 

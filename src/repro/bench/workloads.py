@@ -21,7 +21,8 @@ fraction of nodes in the result.
 
 Scale: the paper's default is 1500 nodes on 1050 m x 1050 m.  Benches run a
 scaled-down default (600 nodes, same density) so the suite stays fast; set
-``REPRO_SCALE=paper`` to run every experiment at full size.
+``REPRO_SCALE=paper`` (or ``--scale paper`` on the bench CLI) to run every
+experiment at full size.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from .. import constants
 from ..data.relations import SensorWorld
@@ -44,6 +45,7 @@ from .cache import ResultCache, cache_key, calibration_cache_dir
 from .calibrate import calibrate_threshold
 
 __all__ = [
+    "SCALE_NODE_COUNTS",
     "Scenario",
     "build_scenario",
     "default_node_count",
@@ -63,11 +65,15 @@ EXTRA_ATTR_POOL = ["hum", "pres", "light", "x", "y"]
 MIN_DISTANCE_M = 100.0
 
 
+#: Sensor nodes at each named scale: ``bench`` keeps the paper's density on
+#: a smaller area, ``paper`` is the §VI default setting.
+SCALE_NODE_COUNTS = {"bench": 600, "paper": constants.PAPER_NODE_COUNT}
+
+
 def default_node_count() -> int:
     """600 by default; the paper's 1500 under ``REPRO_SCALE=paper``."""
-    if os.environ.get("REPRO_SCALE", "").lower() == "paper":
-        return constants.PAPER_NODE_COUNT
-    return 600
+    paper = os.environ.get("REPRO_SCALE", "").lower() == "paper"
+    return SCALE_NODE_COUNTS["paper" if paper else "bench"]
 
 
 @dataclass
@@ -98,21 +104,12 @@ def _cached_scenario(
     node_count: int, seed: int, packet_bytes: int, length_scale: float,
     loss_rate: float, routing: str,
 ) -> Scenario:
-    base = DeploymentConfig()  # paper density
-    config = base.scaled(node_count)
-    config = DeploymentConfig(
-        node_count=config.node_count,
-        area_side_m=config.area_side_m,
-        radio_range_m=config.radio_range_m,
-        seed=seed,
-        loss_rate=loss_rate,
-        routing=routing,
-    )
+    config = DeploymentConfig(seed=seed, loss_rate=loss_rate).scaled(node_count)
     network = deploy_uniform(config, packet_format=PacketFormat(packet_bytes))
     world = SensorWorld.homogeneous(
         network, seed=seed, area_side_m=config.area_side_m, length_scale=length_scale
     )
-    tree = build_routing_tree(network, routing=config.routing, seed=seed)
+    tree = build_routing_tree(network, routing=routing, seed=seed)
     return Scenario(network, world, tree, config, seed)
 
 
@@ -127,8 +124,7 @@ def build_scenario(
     """A deployment at the paper's density (cached per parameter set).
 
     ``routing`` selects the tree-construction mode (``"flat"`` CTP vs
-    ``"cluster"`` grid-head routing) and is carried on the scenario's
-    :class:`~repro.sim.network.DeploymentConfig`.
+    ``"cluster"`` grid-head routing) of the scenario's tree.
     """
     if node_count is None:
         node_count = default_node_count()
@@ -196,15 +192,6 @@ def ratio_query_builder(
     return query_for
 
 
-def _bracket_for(join_attr_count: int, world: SensorWorld) -> Tuple[float, float, bool]:
-    """Threshold search bracket and monotonicity per template.
-
-    Every template uses ``A.temp - B.temp > delta``: a larger delta means a
-    smaller result fraction (decreasing monotonicity).
-    """
-    return 0.0, 40.0, False
-
-
 @lru_cache(maxsize=64)
 def _cached_calibration(
     node_count: int,
@@ -240,14 +227,15 @@ def _cached_calibration(
             return float(entry["threshold"])
     scenario = build_scenario(node_count, seed, packet_bytes)
     builder = ratio_query_builder(join_attr_count, total_attr_count)
-    lo, hi, increasing = _bracket_for(join_attr_count, scenario.world)
+    # Every template is ``A.temp - B.temp > delta``: a larger delta means a
+    # smaller result fraction.
     threshold, _achieved = calibrate_threshold(
         scenario.world,
         builder,
         fraction_milli / 1000.0,
-        lo,
-        hi,
-        increasing=increasing,
+        0.0,
+        40.0,
+        increasing=False,
     )
     if disk is not None:
         disk.put(key, {"params": params, "threshold": threshold})

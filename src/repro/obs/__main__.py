@@ -32,19 +32,11 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
+from ..sim.stats import PHASE_LABELS
+from ..sim.trace import FAULT_INJECT, SLO_VIOLATION, TREE_REATTACH
 from . import reconcile
 from .export import TraceLog, read_jsonl, write_jsonl
 from .metrics import MetricsRegistry
-
-#: Phase ordering for report tables (protocol order, then anything else).
-_PHASE_ORDER = [
-    "query-dissemination",
-    "join-attribute-collection",
-    "filter-dissemination",
-    "final-result",
-    "external-collection",
-    "tree-maintenance",
-]
 
 #: Lane grouping for service-layer event kinds (summary/timeline).  The
 #: protocol lane is the catch-all; everything the broker and the tree
@@ -52,8 +44,8 @@ _PHASE_ORDER = [
 #: as three interleaved stories instead of one flat histogram.
 _KIND_LANES = [
     ("broker", lambda kind: kind.startswith("broker-")),
-    ("tree", lambda kind: kind in ("tree-reattach", "fault-inject", "fault-heal")),
-    ("slo", lambda kind: kind == "slo-violation"),
+    ("tree", lambda kind: kind in (TREE_REATTACH, FAULT_INJECT)),
+    ("slo", lambda kind: kind == SLO_VIOLATION),
 ]
 
 
@@ -65,10 +57,11 @@ def _kind_lane(kind: str) -> str:
 
 
 def _phase_sort_key(phase: str) -> Tuple[int, str]:
+    """Report tables list phases in protocol order, then anything else."""
     try:
-        return (_PHASE_ORDER.index(phase), phase)
+        return (PHASE_LABELS.index(phase), phase)
     except ValueError:
-        return (len(_PHASE_ORDER), phase)
+        return (len(PHASE_LABELS), phase)
 
 
 def _phases_in(reg: MetricsRegistry) -> List[str]:
@@ -132,7 +125,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
         disseminate_query=True,
         telemetry=telemetry,
     )
-    model = scenario.network.energy_model
     meta = {
         "generator": "repro.obs record",
         "nodes": scenario.node_count,
@@ -141,12 +133,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         "algorithm": outcome.algorithm,
         "threshold": args.threshold,
         "max_packet_bytes": scenario.network.packet_format.max_packet_bytes,
-        "energy_model": {
-            "tx_per_packet": model.tx_per_packet,
-            "tx_per_byte": model.tx_per_byte,
-            "rx_per_packet": model.rx_per_packet,
-            "rx_per_byte": model.rx_per_byte,
-        },
+        "energy_model": reconcile.energy_model_map(scenario.network.energy_model),
         "result_matches": outcome.result.match_count,
         "response_time_s": outcome.response_time_s,
         "total_energy_joules": scenario.network.total_energy(),
@@ -352,10 +339,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 # -- energy-breakdown --------------------------------------------------------
 
 
-#: Shared with the differential harness — see :mod:`repro.obs.reconcile`.
-_derived_phase_energy = reconcile.derived_phase_energy
-
-
 def _cmd_energy_breakdown(args: argparse.Namespace) -> int:
     log = read_jsonl(args.trace)
     reg = log.registry()
@@ -364,26 +347,28 @@ def _cmd_energy_breakdown(args: argparse.Namespace) -> int:
         print("trace has no per-phase counters (was it recorded with telemetry?)")
         return 1
     model = log.meta.get("energy_model")
+    if model is not None:
+        total_measured, worst_delta, deltas = reconcile.reconcile_phase_energy(
+            reg, model, phases
+        )
+    else:
+        total_measured = 0.0
+        for phase in phases:
+            total_measured += reg.total("energy_joules_total", phase=phase)
     rows = []
-    total_measured = 0.0
-    worst_delta = 0.0
     for phase in phases:
-        measured = reg.total("energy_joules_total", phase=phase)
-        total_measured += measured
         row = [
             phase,
             f"{reg.total('tx_packets_total', phase=phase):.0f}",
             f"{reg.total('tx_bytes_total', phase=phase):.0f}",
             f"{reg.total('rx_bytes_total', phase=phase):.0f}",
             f"{reg.total('retx_packets_total', phase=phase):.0f}",
-            f"{measured:.6f}",
+            f"{reg.total('energy_joules_total', phase=phase):.6f}",
         ]
         if model is not None:
-            derived = _derived_phase_energy(reg, phase, model)
-            delta = abs(measured - derived)
-            worst_delta = max(worst_delta, delta)
+            derived = reconcile.derived_phase_energy(reg, phase, model)
             row.append(f"{derived:.6f}")
-            row.append(f"{delta:.2e}")
+            row.append(f"{deltas[phase]:.2e}")
         rows.append(row)
     header = ["phase", "tx pkts", "tx bytes", "rx bytes", "retx pkts", "energy J"]
     if model is not None:

@@ -170,9 +170,9 @@ def build_routing_tree(
     """Build a routing tree in the requested mode (the stack-wide selector).
 
     ``"flat"`` is the paper's plain min-hop CTP tree; ``"cluster"`` layers
-    grid-cell cluster heads over the same backbone.  Unknown modes raise
-    :class:`~repro.errors.RoutingError` (the deployment config validates the
-    same set, so this only fires on hand-rolled call sites).
+    grid-cell cluster heads over the same backbone.  The mode is an argument
+    of this function only, and an unknown one raises
+    :class:`~repro.errors.RoutingError`.
     """
     if routing == "flat":
         return build_tree(network, tie_break=tie_break, seed=seed)

@@ -70,8 +70,7 @@ from ..obs.telemetry import NULL_TELEMETRY, Telemetry, instrumented
 from ..obs.timeseries import MetricsSampler, WindowedAggregate
 from ..query.evaluate import JoinResult
 from ..query.query import JoinQuery
-from ..routing.cluster import build_routing_tree
-from ..routing.ctp import reattach_tree
+from ..routing.ctp import build_tree, reattach_tree
 from ..routing.dissemination import flood_batch
 from ..routing.tree import RoutingTree
 from ..sim.faults import (
@@ -186,10 +185,6 @@ class BrokerConfig:
     disseminate_queries: bool = False
     deadline: Optional[DeadlinePolicy] = None
     admission_depth: Optional[int] = None
-    #: Routing-tree construction mode used when no explicit tree is passed
-    #: to the broker: ``"flat"`` min-hop CTP or ``"cluster"`` grid-head
-    #: routing (:mod:`repro.routing.cluster`).
-    routing: str = "flat"
 
     def __post_init__(self) -> None:
         if self.concurrency < 1:
@@ -198,8 +193,6 @@ class BrokerConfig:
             raise ValueError(
                 f"admission_depth must be >= 0, got {self.admission_depth}"
             )
-        if self.routing not in ("flat", "cluster"):
-            raise ValueError(f"unknown routing mode: {self.routing!r}")
 
 
 @dataclass
@@ -281,9 +274,11 @@ class QueryBroker:
     """Admit, schedule and execute many queries on one network.
 
     The broker owns a single routing tree (built once — concurrent queries
-    share the converged topology) and a simulated wall clock.  Batches run
-    back to back; a query's latency is *completion − arrival*, so time
-    spent waiting in the admission queue counts.
+    share the converged topology; without ``tree`` it builds the flat
+    min-hop tree, so pass a cluster tree for cluster routing) and a
+    simulated wall clock.  Batches run back to back; a query's latency is
+    *completion − arrival*, so time spent waiting in the admission queue
+    counts.
 
     ``churn`` (a :class:`~repro.sim.faults.ChurnModel`, materialized here
     against the deployment, or a ready :class:`~repro.sim.faults.FaultPlan`)
@@ -307,11 +302,7 @@ class QueryBroker:
         self.network = network
         self.world = world
         self.config = config
-        self.tree = (
-            tree
-            if tree is not None
-            else build_routing_tree(network, routing=config.routing, seed=tree_seed)
-        )
+        self.tree = tree if tree is not None else build_tree(network, seed=tree_seed)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.tracer = self.telemetry.tracer
         #: Every epoch runs this engine's phases; it holds no per-query or

@@ -413,17 +413,10 @@ def _deployment_config(spec: TrialSpec) -> DeploymentConfig:
             radio_range_m=50.0,
             seed=spec.seed,
             loss_rate=spec.loss_rate,
-            routing=spec.routing,
         )
     # Uniform random at the paper's density.
-    scaled = DeploymentConfig().scaled(spec.node_count)
-    return DeploymentConfig(
-        node_count=scaled.node_count,
-        area_side_m=scaled.area_side_m,
-        radio_range_m=scaled.radio_range_m,
-        seed=spec.seed,
-        loss_rate=spec.loss_rate,
-        routing=spec.routing,
+    return DeploymentConfig(seed=spec.seed, loss_rate=spec.loss_rate).scaled(
+        spec.node_count
     )
 
 

@@ -44,7 +44,7 @@ def test_fig11_most_loaded_node_relieved():
 
 
 def test_fig12_savings_grow_as_ratio_falls():
-    series = fig12_ratio3(node_count=NODES)
+    series = fig12_ratio3(totals=(5, 4, 3), node_count=NODES)
     ratios = series.column("ratio_pct")
     savings = series.column("savings_pct")
     assert ratios == sorted(ratios)  # 60, 75, 100
@@ -53,7 +53,7 @@ def test_fig12_savings_grow_as_ratio_falls():
 
 
 def test_fig13_worst_case_still_saves():
-    series = fig13_ratio1(node_count=NODES)
+    series = fig13_ratio1(totals=(1, 2, 3, 4, 5), node_count=NODES)
     by_total = dict(zip(series.column("total_attrs"), series.column("savings_pct")))
     # Even at 100% join attributes the quadtree keeps SENS-Join competitive.
     assert by_total[1] > -20.0
@@ -98,7 +98,7 @@ def test_compression_table_ordering():
 
 
 def test_packet_size_study_reports_both_sizes():
-    series = packet_size_study(node_count=NODES)
+    series = packet_size_study(packet_sizes=(48, 124), node_count=NODES)
     assert series.column("packet_bytes") == [48, 124]
     for row in series.as_dicts():
         assert row["sens_max_node"] <= row["external_max_node"]

@@ -80,6 +80,59 @@ class TestRegistry:
         with pytest.raises(ValueError, match="no experiment matches"):
             select_specs(specs, ["fig99*"])
 
+    def test_one_declaration(self):
+        """Sweep points and node counts are written once, in the registry.
+
+        The figure suite takes every series from the registry's cells, so no
+        ``benchmarks/test_*.py`` module calls an experiment function itself,
+        and no experiment function falls back to the environment's scale.
+        """
+        import ast
+        from pathlib import Path
+
+        import repro.bench.experiments as experiments
+
+        defined = {
+            name
+            for name, value in vars(experiments).items()
+            if getattr(value, "__module__", None) == experiments.__name__
+        }
+        offenders = []
+        for path in sorted(Path(__file__).resolve().parents[1].glob("benchmarks/test_*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            functions, modules = set(), set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name
+                        if node.module == "repro.bench.experiments":
+                            functions.add(bound)
+                        elif node.module == "repro.bench" and alias.name in defined:
+                            functions.add(bound)
+                        elif node.module == "repro.bench" and alias.name == "experiments":
+                            modules.add(bound)
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name == "repro.bench.experiments":
+                            modules.add(alias.asname or alias.name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and (
+                    (isinstance(node.func, ast.Name) and node.func.id in functions)
+                    or (
+                        isinstance(node.func, ast.Attribute)
+                        and ast.unparse(node.func.value) in modules
+                    )
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
+        source = Path(experiments.__file__)
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == "default_node_count"
+            ):
+                offenders.append(f"{source.name}:{node.lineno} default_node_count")
+        assert not offenders, offenders
+
 
 # ---------------------------------------------------------------------------
 # Cache keys + store

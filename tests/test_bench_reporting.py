@@ -106,7 +106,10 @@ class TestSeriesDictRoundTrip:
 
 def test_parallel_matches_serial():
     """Harness cells on 2 workers reproduce direct serial calls exactly."""
-    serial = [fig12_ratio3(node_count=NODES), variance_study(node_count=NODES)]
+    serial = [
+        fig12_ratio3(totals=(5, 4, 3), node_count=NODES),
+        variance_study(seeds=(0, 1, 2, 3, 4), node_count=NODES),
+    ]
     run = run_experiments(
         ["fig12", "variance"], node_count=NODES, jobs=2, cache_dir=None
     )

@@ -7,8 +7,7 @@ The package splits into five layers (see ``docs/benchmarking.md``):
 * :mod:`~repro.bench.calibrate` — the selectivity-knob bisection;
 * :mod:`~repro.bench.experiments` — one function per §VI figure/table,
   each returning an :class:`~repro.bench.reporting.ExperimentSeries`;
-* :mod:`~repro.bench.harness` + :mod:`~repro.bench.cache` — decomposition
-  into parallel cells, the content-addressed result cache, and
+* :mod:`~repro.bench.harness` — decomposition into parallel cells and
   deterministic reassembly;
 * :mod:`~repro.bench.reporting` / :mod:`~repro.bench.ascii_viz` — tables,
   CSVs and terminal visualisation.
@@ -17,7 +16,6 @@ Command line: ``python -m repro.bench run --all --jobs 4``.
 """
 
 from .ascii_viz import render_field, render_histogram, render_node_load, render_tree_depths
-from .cache import ResultCache, cache_key, code_fingerprint
 from .calibrate import calibrate_threshold, measure_result_fraction
 from .experiments import (
     RATIO_SETTINGS,
@@ -65,16 +63,13 @@ __all__ = [
     "ExperimentSeries",
     "ExperimentSpec",
     "RATIO_SETTINGS",
-    "ResultCache",
     "RunResult",
     "Scenario",
     "ablation_study",
     "bs_position_study",
     "build_scenario",
-    "cache_key",
     "calibrate_threshold",
     "calibrated_query",
-    "code_fingerprint",
     "compression_table",
     "continuous_study",
     "default_node_count",

@@ -8,7 +8,7 @@ Three subcommands (full guide: ``docs/benchmarking.md``):
 
         python -m repro.bench run --all --jobs 4
         python -m repro.bench run 'fig1*' loss --jobs 2 --scale paper
-        python -m repro.bench run fig10_33 --nodes 150 --no-cache
+        python -m repro.bench run fig10_33 --nodes 150
 
 ``list``
     Show every experiment with its cell count at the chosen scale.
@@ -26,8 +26,8 @@ Three subcommands (full guide: ``docs/benchmarking.md``):
 
 Results land under ``--results-dir`` (default ``benchmarks/results``):
 ``<experiment>.csv`` per experiment, ``series.json`` (the lossless bundle
-``report`` reads), ``run_manifest.json`` (per-cell timings and cache hits),
-and the result cache under ``.cache/``.  The rendered report goes to
+``report`` reads) and ``run_manifest.json`` (per-cell timings).  Every
+``run`` computes every selected cell.  The rendered report goes to
 ``--out`` (default ``experiment_report_<scale>.txt``).  The figure suite
 (``pytest benchmarks``) runs the same registry cells and writes the same
 CSV names.
@@ -44,7 +44,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..errors import ReproError
-from .cache import ResultCache
 from .harness import experiment_specs, run_experiments, run_sharded_deployment
 from .reporting import ExperimentSeries, render_table, save_csv
 from .workloads import SCALE_NODE_COUNTS
@@ -72,12 +71,6 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     results_dir = Path(args.results_dir)
-    cache_dir = results_dir / ".cache"
-    if args.clear_cache:
-        removed = ResultCache(cache_dir).clear()
-        print(f"cache cleared ({removed} entries)")
-        if not args.patterns and not args.all:
-            return 0
     if not args.patterns and not args.all:
         print(
             "error: select experiments by name/glob or pass --all "
@@ -92,7 +85,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.patterns or None,
         node_count=node_count,
         jobs=args.jobs,
-        cache_dir=None if args.no_cache else cache_dir,
         progress=lambda line: print(line, flush=True),
     )
     wall = time.perf_counter() - started
@@ -122,11 +114,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         + "\n"
     )
 
-    cached = run.manifest["cached_cells"]
-    total = run.manifest["total_cells"]
     print(
-        f"{len(run.series)} experiment(s), {total} cell(s) "
-        f"({cached} cached) in {wall:.1f}s wall "
+        f"{len(run.series)} experiment(s), {run.manifest['total_cells']} cell(s) "
+        f"in {wall:.1f}s wall "
         f"({run.manifest['total_cell_seconds']:.1f}s of cell time); "
         f"report: {out_path}; manifest: {results_dir / MANIFEST_NAME}"
     )
@@ -145,28 +135,19 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _render_profile(manifest_path: Path) -> Optional[str]:
-    """One-line profile summary from a run manifest, or None if absent."""
+    """The slowest-cells line of a run manifest, or None if absent."""
     try:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, ValueError):
         return None
     profile = manifest.get("profile")
-    if not isinstance(profile, dict):
+    if not isinstance(profile, dict) or not profile.get("slowest_cells"):
         return None
-    cache = profile.get("cache", {})
-    line = (
-        f"# cache: {cache.get('hits', 0)} hit(s), "
-        f"{cache.get('misses', 0)} miss(es), "
-        f"{cache.get('puts', 0)} put(s), "
-        f"{cache.get('evictions', 0)} eviction(s)"
+    cells = ", ".join(
+        f"{entry['label']} {entry['elapsed_s']:.1f}s"
+        for entry in profile["slowest_cells"]
     )
-    slowest = profile.get("slowest_cells") or []
-    if slowest:
-        cells = ", ".join(
-            f"{entry['label']} {entry['elapsed_s']:.1f}s" for entry in slowest
-        )
-        line += f"\n# slowest cells: {cells}"
-    return line
+    return f"# slowest cells: {cells}"
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -218,7 +199,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     if args.nodes < 2:
         raise ValueError(f"--nodes must be >= 2: {args.nodes}")
     results_dir = Path(args.results_dir)
-    cache_dir = results_dir / ".cache"
     started = time.perf_counter()
     run = run_sharded_deployment(
         args.nodes,
@@ -227,7 +207,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         routing=args.routing,
         deployment=args.deployment,
         jobs=args.jobs,
-        cache_dir=None if args.no_cache else cache_dir,
         progress=lambda line: print(line, flush=True),
     )
     wall = time.perf_counter() - started
@@ -245,10 +224,8 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     (results_dir / SHARD_MANIFEST_NAME).write_text(
         json.dumps(run.manifest, indent=2, sort_keys=True) + "\n"
     )
-    cached = run.manifest["cached_cells"]
     print(
-        f"{args.nodes} nodes over {args.shards} shard(s) "
-        f"({cached} cached) in {wall:.1f}s wall; "
+        f"{args.nodes} nodes over {args.shards} shard(s) in {wall:.1f}s wall; "
         f"csv: {results_dir / 'shard.csv'}; "
         f"manifest: {results_dir / SHARD_MANIFEST_NAME}"
     )
@@ -322,14 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     """The bench CLI parser (exposed for testing and shell completion)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Regenerate the paper's §VI evaluation as parallel, "
-        "cached experiment cells.",
+        description="Regenerate the paper's §VI evaluation as parallel "
+        "experiment cells.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run = commands.add_parser(
-        "run", help="run experiments (parallel cells, cached results)"
-    )
+    run = commands.add_parser("run", help="run experiments (parallel cells)")
     run.add_argument(
         "patterns",
         nargs="*",
@@ -347,19 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--results-dir",
         default=str(DEFAULT_RESULTS_DIR),
-        help="where CSVs, series.json, the manifest and the cache live",
+        help="where CSVs, series.json and the manifest live",
     )
     run.add_argument("--out", default=None, help="report file (default: experiment_report_<scale>.txt)")
-    run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="compute every cell even if a cached result exists",
-    )
-    run.add_argument(
-        "--clear-cache",
-        action="store_true",
-        help="delete the result cache first (alone: just clear and exit)",
-    )
     run.set_defaults(handler=_cmd_run)
 
     lister = commands.add_parser("list", help="list experiments and cell counts")
@@ -394,11 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid stays connected at any size; uniform is the paper's draw",
     )
     shard.add_argument("--results-dir", default=str(DEFAULT_RESULTS_DIR))
-    shard.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="compute every shard even if a cached result exists",
-    )
     shard.set_defaults(handler=_cmd_shard)
 
     perf = commands.add_parser(

@@ -1,4 +1,4 @@
-"""Parallel experiment harness: cells, fan-out, caching, assembly.
+"""Parallel experiment harness: cells, fan-out, assembly.
 
 The §VI evaluation is an embarrassingly parallel matrix — every
 (experiment, ratio, sweep point, seed) combination is an independent
@@ -22,27 +22,22 @@ How that identity is achieved:
   note spans the whole sweep (``variance``) or that cross-check rows
   against each other (``loss``) get a custom assembler.
 
-Results are cached on disk, content-addressed by cell parameters plus the
-:func:`repro.bench.cache.code_fingerprint`, so warm re-runs skip the
-simulations entirely.  See ``docs/benchmarking.md`` for the cache-key and
-determinism contract, and :mod:`repro.bench.__main__` for the CLI
-(``python -m repro.bench``).
+Every run computes every selected cell; ``python -m repro.bench report``
+re-renders the last run without computing anything.  See
+``docs/benchmarking.md`` for the determinism contract, and
+:mod:`repro.bench.__main__` for the CLI (``python -m repro.bench``).
 """
 
 from __future__ import annotations
 
 import fnmatch
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .. import constants
 from ..errors import ProtocolError
-from ..obs.metrics import MetricsRegistry
-from .cache import CACHE_DIR_ENV, ResultCache, cache_key, code_fingerprint
 from .experiments import scale_node_counts, variance_summary_note
 from .reporting import ExperimentSeries
 from .workloads import default_node_count
@@ -59,7 +54,7 @@ __all__ = [
 ]
 
 #: Manifest layout version (see :attr:`RunResult.manifest`).
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -67,60 +62,29 @@ class Cell:
     """One independent unit of work: a pinned experiment-function call.
 
     ``kwargs`` must be JSON-clean (numbers, strings, lists) — they are both
-    the pickled payload sent to workers and the content-addressed cache
-    identity.  ``index`` is the cell's position in its experiment's sweep;
+    the pickled payload sent to workers and the manifest's record of the
+    call.  ``index`` is the cell's position in its experiment's sweep;
     assembly orders by it, never by completion time.
     """
 
     experiment: str
     func: str
-    kwargs: tuple  # canonical ((name, value), ...) pairs, sorted by name
+    kwargs: Dict[str, Any]
     index: int
-
-    @staticmethod
-    def make(experiment: str, func: str, kwargs: Dict[str, Any], index: int) -> "Cell":
-        return Cell(experiment, func, tuple(sorted(kwargs.items(), key=lambda kv: kv[0])), index)
-
-    @property
-    def call_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments as passed to the experiment function."""
-        return {name: _thaw(value) for name, value in self.kwargs}
 
     @property
     def label(self) -> str:
-        """Human-readable progress label, e.g. ``fig10_33[3/8]``."""
+        """Human-readable progress label, e.g. ``fig10_33[3]``."""
         return f"{self.experiment}[{self.index}]"
-
-    def key(self, fingerprint: Optional[str] = None) -> str:
-        """Content address of this cell's result."""
-        return cache_key(
-            {"kind": "cell", "func": self.func, "kwargs": self.call_kwargs},
-            fingerprint,
-        )
-
-
-def _freeze(value: Any) -> Any:
-    """Lists/tuples -> tuples so cells stay hashable."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(item) for item in value)
-    return value
-
-
-def _thaw(value: Any) -> Any:
-    """Tuples -> lists: the JSON-canonical form cache keys are built from."""
-    if isinstance(value, tuple):
-        return [_thaw(item) for item in value]
-    return value
 
 
 @dataclass
 class CellResult:
-    """A finished cell: its single-point series plus execution metadata."""
+    """A finished cell: its single-point series plus its wall time."""
 
     cell: Cell
     series: ExperimentSeries
     elapsed_s: float
-    cached: bool
 
 
 Assembler = Callable[[List[ExperimentSeries]], ExperimentSeries]
@@ -253,17 +217,17 @@ def deployment_shard_spec(
 ) -> ExperimentSpec:
     """A synthetic experiment spec: one cell per shard of a giant deployment.
 
-    The cells are ordinary harness cells (picklable, content-addressed, one
+    The cells are ordinary harness cells (picklable, one
     :func:`repro.bench.experiments.scale_shard` call each), so the existing
-    fan-out, cache and progress machinery applies unchanged; only the
-    assembler differs — it verifies the shards tile the deployment before
-    appending the merged totals row.
+    fan-out and progress machinery applies unchanged; only the assembler
+    differs — it verifies the shards tile the deployment before appending
+    the merged totals row.
     """
     if shard_count < 1:
         raise ValueError(f"shard_count must be >= 1: {shard_count}")
     name = "shard"
     cells = [
-        Cell.make(
+        Cell(
             name,
             "scale_shard",
             {
@@ -294,7 +258,6 @@ def run_sharded_deployment(
     routing: str = "flat",
     deployment: str = "grid",
     jobs: int = 1,
-    cache_dir: Optional[Path] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> RunResult:
     """Partition a giant deployment into per-subtree shards and fan them out.
@@ -302,14 +265,14 @@ def run_sharded_deployment(
     The sharded counterpart of :func:`run_experiments` for deployments too
     large to want in one process: each shard worker rebuilds the topology,
     derives the same deterministic subtree partition, and accounts its own
-    slice; the results merge through the content-addressed cache and the
-    completeness-gated assembler regardless of worker count or completion
-    order.  Returns a single-series :class:`RunResult`.
+    slice; the results merge through the completeness-gated assembler
+    regardless of worker count or completion order.  Returns a
+    single-series :class:`RunResult`.
     """
     spec = deployment_shard_spec(
         node_count, shard_count, seed=seed, routing=routing, deployment=deployment
     )
-    return _run_specs([spec], jobs, cache_dir, progress)
+    return _run_specs([spec], jobs, progress)
 
 
 def experiment_specs(node_count: Optional[int] = None) -> Dict[str, ExperimentSpec]:
@@ -336,10 +299,7 @@ def experiment_specs(node_count: Optional[int] = None) -> Dict[str, ExperimentSp
         sweep: Sequence[Dict[str, Any]],
         assemble: Optional[Assembler] = None,
     ) -> None:
-        cells = [
-            Cell.make(name, func, {k: _freeze(v) for k, v in kwargs.items()}, i)
-            for i, kwargs in enumerate(sweep)
-        ]
+        cells = [Cell(name, func, kwargs, i) for i, kwargs in enumerate(sweep)]
         spec = ExperimentSpec(name, title, cells)
         if assemble is not None:
             spec.assemble = assemble
@@ -599,7 +559,6 @@ def run_experiments(
     *,
     node_count: Optional[int] = None,
     jobs: int = 1,
-    cache_dir: Optional[Path] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> RunResult:
     """Run the selected experiments as parallel cells; reassemble in order.
@@ -614,10 +573,6 @@ def run_experiments(
     jobs:
         Worker processes.  ``1`` runs the cells in-process — the output is
         byte-identical either way, only the wall time changes.
-    cache_dir:
-        Directory of the content-addressed result cache; None disables
-        caching.  The directory is shared with workers (so calibration
-        cells are cached too) via ``REPRO_BENCH_CACHE_DIR``.
     progress:
         Optional sink for per-cell progress/ETA lines.
 
@@ -630,13 +585,12 @@ def run_experiments(
         raise ValueError(
             f"experiment(s) selected with zero cells: {', '.join(empty)}"
         )
-    return _run_specs(selected, jobs, cache_dir, progress)
+    return _run_specs(selected, jobs, progress)
 
 
 def _run_specs(
     selected: List[ExperimentSpec],
     jobs: int,
-    cache_dir: Optional[Path],
     progress: Optional[Callable[[str], None]],
 ) -> RunResult:
     """The run body of :func:`run_experiments` and
@@ -645,163 +599,85 @@ def _run_specs(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1: {jobs}")
     cells = [cell for spec in selected for cell in spec.cells]
-    fingerprint = code_fingerprint()
-    registry = MetricsRegistry()
-    cache = (
-        ResultCache(cache_dir, registry=registry)
-        if cache_dir is not None
-        else None
-    )
-
-    previous_env = os.environ.get(CACHE_DIR_ENV)
-    if cache is not None:
-        os.environ[CACHE_DIR_ENV] = str(cache_dir)
-    try:
-        results = _run_cells(cells, jobs, cache, fingerprint, progress)
-    finally:
-        if cache is not None:
-            if previous_env is None:
-                os.environ.pop(CACHE_DIR_ENV, None)
-            else:
-                os.environ[CACHE_DIR_ENV] = previous_env
-
-    by_cell = {id(result.cell): result for result in results}
+    by_cell = {id(result.cell): result for result in _run_cells(cells, jobs, progress)}
     ordered = [by_cell[id(cell)] for cell in cells]
     series = [
         spec.assemble([by_cell[id(cell)].series for cell in spec.cells])
         for spec in selected
     ]
-    manifest = _build_manifest(
-        selected, ordered, fingerprint, jobs, cache_dir, registry
-    )
+    manifest = _build_manifest(selected, ordered, jobs)
     return RunResult(series=series, results=ordered, manifest=manifest)
 
 
 def _run_cells(
     cells: List[Cell],
     jobs: int,
-    cache: Optional[ResultCache],
-    fingerprint: str,
     progress: Optional[Callable[[str], None]],
 ) -> List[CellResult]:
+    """Compute every cell, in-process or on ``jobs`` workers; the results
+    come back in completion order."""
     total = len(cells)
-    done = 0
     started = time.perf_counter()
     results: List[CellResult] = []
 
-    def emit(result: CellResult) -> None:
-        nonlocal done
-        done += 1
-        results.append(result)
+    def finish(cell: Cell, series: ExperimentSeries, elapsed: float) -> None:
+        results.append(CellResult(cell, series, elapsed))
         if progress is None:
             return
-        flag = " (cached)" if result.cached else ""
-        wall = time.perf_counter() - started
+        done = len(results)
         remaining = total - done
+        wall = time.perf_counter() - started
         eta = f", eta {wall / done * remaining:.0f}s" if remaining else ""
-        progress(
-            f"[{done}/{total}] {result.cell.label} "
-            f"{result.elapsed_s:.1f}s{flag}{eta}"
-        )
+        progress(f"[{done}/{total}] {cell.label} {elapsed:.1f}s{eta}")
 
-    pending: List[Cell] = []
-    cached_results: Dict[int, CellResult] = {}
-    for cell in cells:
-        entry = cache.get(cell.key(fingerprint)) if cache is not None else None
-        if entry is not None:
-            cached_results[id(cell)] = CellResult(
-                cell,
-                ExperimentSeries.from_dict(entry["series"]),
-                entry.get("elapsed_s", 0.0),
-                cached=True,
-            )
-        else:
-            pending.append(cell)
-
-    def finish(cell: Cell, series: ExperimentSeries, elapsed: float) -> None:
-        if cache is not None:
-            cache.put(
-                cell.key(fingerprint),
-                {
-                    "func": cell.func,
-                    "kwargs": cell.call_kwargs,
-                    "series": series.to_dict(),
-                    "elapsed_s": elapsed,
-                },
-            )
-        emit(CellResult(cell, series, elapsed, cached=False))
-
-    if jobs == 1 or len(pending) <= 1:
+    if jobs == 1 or total <= 1:
         for cell in cells:
-            if id(cell) in cached_results:
-                emit(cached_results.pop(id(cell)))
-                continue
-            series, elapsed = _execute_cell(cell.func, cell.call_kwargs)
+            finish(cell, *_execute_cell(cell.func, cell.kwargs))
+        return results
+    with ProcessPoolExecutor(max_workers=min(jobs, total)) as pool:
+        futures = {
+            pool.submit(_execute_cell, cell.func, cell.kwargs): cell
+            for cell in cells
+        }
+        for future in as_completed(futures):
+            cell = futures[future]
+            try:
+                series, elapsed = future.result()
+            except Exception as error:
+                raise RuntimeError(
+                    f"experiment cell {cell.label} "
+                    f"({cell.func}{cell.kwargs}) failed"
+                ) from error
             finish(cell, series, elapsed)
-    else:
-        for result in cached_results.values():
-            emit(result)
-        cached_results.clear()
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            futures = {
-                pool.submit(_execute_cell, cell.func, cell.call_kwargs): cell
-                for cell in pending
-            }
-            for future in as_completed(futures):
-                cell = futures[future]
-                try:
-                    series, elapsed = future.result()
-                except Exception as error:
-                    raise RuntimeError(
-                        f"experiment cell {cell.label} "
-                        f"({cell.func}{cell.call_kwargs}) failed"
-                    ) from error
-                finish(cell, series, elapsed)
     return results
 
 
 def _build_manifest(
     selected: List[ExperimentSpec],
     results: List[CellResult],
-    fingerprint: str,
     jobs: int,
-    cache_dir: Optional[Path],
-    registry: Optional[MetricsRegistry] = None,
 ) -> Dict[str, Any]:
     by_experiment: Dict[str, List[CellResult]] = {}
     for result in results:
         by_experiment.setdefault(result.cell.experiment, []).append(result)
-    profile: Dict[str, Any] = {
-        "cache": {
-            "hits": int(registry.total("bench_cache_hits_total")) if registry else 0,
-            "misses": int(registry.total("bench_cache_misses_total")) if registry else 0,
-            "puts": int(registry.total("bench_cache_puts_total")) if registry else 0,
-            "evictions": int(registry.total("bench_cache_evictions_total")) if registry else 0,
-        },
-        "slowest_cells": [
-            {"label": r.cell.label, "elapsed_s": round(r.elapsed_s, 3)}
-            for r in sorted(results, key=lambda r: r.elapsed_s, reverse=True)[:5]
-            if not r.cached
-        ],
-    }
+    slowest = sorted(results, key=lambda r: r.elapsed_s, reverse=True)[:5]
     return {
         "schema": MANIFEST_SCHEMA,
         "created_unix": time.time(),
-        "code_fingerprint": fingerprint,
         "jobs": jobs,
-        "cache_dir": str(cache_dir) if cache_dir is not None else None,
         "total_cells": len(results),
-        "cached_cells": sum(1 for r in results if r.cached),
         "total_cell_seconds": round(sum(r.elapsed_s for r in results), 3),
-        "profile": profile,
+        "profile": {
+            "slowest_cells": [
+                {"label": r.cell.label, "elapsed_s": round(r.elapsed_s, 3)}
+                for r in slowest
+            ],
+        },
         "experiments": [
             {
                 "name": spec.name,
                 "title": spec.title,
                 "cells": len(spec.cells),
-                "cached_cells": sum(
-                    1 for r in by_experiment.get(spec.name, []) if r.cached
-                ),
                 "cell_seconds": round(
                     sum(r.elapsed_s for r in by_experiment.get(spec.name, [])), 3
                 ),
@@ -812,9 +688,7 @@ def _build_manifest(
             {
                 "experiment": r.cell.experiment,
                 "func": r.cell.func,
-                "kwargs": r.cell.call_kwargs,
-                "key": r.cell.key(fingerprint),
-                "cached": r.cached,
+                "kwargs": r.cell.kwargs,
                 "elapsed_s": round(r.elapsed_s, 3),
             }
             for r in results

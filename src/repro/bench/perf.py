@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import platform
 import re
 import sys
 import time
@@ -43,8 +44,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from .cache import _interpreter_fingerprint
 
 __all__ = [
     "SCHEMA",
@@ -387,6 +386,20 @@ def build_suite(only: Optional[Sequence[str]] = None) -> List[Bench]:
 
 
 # -- snapshots ----------------------------------------------------------------
+
+
+def _interpreter_fingerprint() -> Dict[str, Any]:
+    """The runtime a snapshot was timed on, recorded as its ``interpreter``.
+
+    Scores are compared across machines, so a snapshot names the Python
+    version (major.minor), implementation and platform it came from.
+    """
+    return {
+        "python": list(sys.version_info[:2]),
+        "implementation": sys.implementation.name,
+        "platform": sys.platform,
+        "machine": platform.machine(),
+    }
 
 
 def snapshot_entries(path: Path) -> Dict[str, Dict[str, Any]]:

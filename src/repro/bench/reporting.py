@@ -4,14 +4,14 @@ Every experiment function in :mod:`repro.bench.experiments` returns an
 :class:`ExperimentSeries`; :func:`render_table` turns it into the fixed-width
 table the benchmark suite prints, and :func:`save_csv` persists it for
 postprocessing.  :meth:`ExperimentSeries.to_dict` /
-:meth:`ExperimentSeries.from_dict` give the lossless JSON form used by the
-result cache and the run manifest of :mod:`repro.bench.harness`.  Nothing
-here depends on plotting libraries — the paper's figures are line/bar charts
-over exactly these rows.
+:meth:`ExperimentSeries.from_dict` give the lossless JSON form of the
+``series.json`` bundle that ``python -m repro.bench run`` writes and
+``report`` re-renders.  Nothing here depends on plotting libraries — the
+paper's figures are line/bar charts over exactly these rows.
 
 Values are restricted to finite numbers and strings: :meth:`add_row` raises
 on NaN/infinity instead of letting them silently corrupt CSVs (and the JSON
-cache, which cannot represent them).  An experiment that genuinely wants to
+bundle, which cannot represent them).  An experiment that genuinely wants to
 report an unbounded ratio passes the string ``"inf"``.
 """
 
@@ -43,7 +43,7 @@ class ExperimentSeries:
 
         Raises :class:`ValueError` on an arity mismatch and on non-finite
         floats — NaN/inf would round-trip through CSV as unparseable
-        strings and are not representable in the JSON result cache.
+        strings and are not representable in the JSON series bundle.
         """
         if len(values) != len(self.columns):
             raise ValueError(

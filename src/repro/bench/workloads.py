@@ -41,7 +41,6 @@ from ..routing.cluster import build_routing_tree
 from ..routing.tree import RoutingTree
 from ..sim.network import DeploymentConfig, Network, deploy_uniform
 from ..sim.radio import PacketFormat
-from .cache import ResultCache, cache_key, calibration_cache_dir
 from .calibrate import calibrate_threshold
 
 __all__ = [
@@ -101,14 +100,11 @@ class Scenario:
 
 @lru_cache(maxsize=16)
 def _cached_scenario(
-    node_count: int, seed: int, packet_bytes: int, length_scale: float,
-    loss_rate: float, routing: str,
+    node_count: int, seed: int, packet_bytes: int, loss_rate: float, routing: str
 ) -> Scenario:
     config = DeploymentConfig(seed=seed, loss_rate=loss_rate).scaled(node_count)
     network = deploy_uniform(config, packet_format=PacketFormat(packet_bytes))
-    world = SensorWorld.homogeneous(
-        network, seed=seed, area_side_m=config.area_side_m, length_scale=length_scale
-    )
+    world = SensorWorld.homogeneous(network, seed=seed, area_side_m=config.area_side_m)
     tree = build_routing_tree(network, routing=routing, seed=seed)
     return Scenario(network, world, tree, config, seed)
 
@@ -117,7 +113,6 @@ def build_scenario(
     node_count: Optional[int] = None,
     seed: int = 0,
     packet_bytes: int = constants.DEFAULT_MAX_PACKET_BYTES,
-    length_scale: float = 150.0,
     loss_rate: float = 0.0,
     routing: str = "flat",
 ) -> Scenario:
@@ -128,9 +123,7 @@ def build_scenario(
     """
     if node_count is None:
         node_count = default_node_count()
-    return _cached_scenario(
-        node_count, seed, packet_bytes, length_scale, loss_rate, routing
-    )
+    return _cached_scenario(node_count, seed, packet_bytes, loss_rate, routing)
 
 
 def ratio_query_builder(
@@ -201,30 +194,7 @@ def _cached_calibration(
     total_attr_count: int,
     fraction_milli: int,
 ) -> float:
-    """One calibrated threshold, memoised in-process and (optionally) on disk.
-
-    When a harness run enables its result cache
-    (:func:`repro.bench.cache.calibration_cache_dir` is set), calibrations
-    become content-addressed cells of their own: worker processes share one
-    directory, so each unique (deployment, template, fraction) threshold is
-    bisected once per cache lifetime rather than once per process.
-    """
-    params = {
-        "kind": "calibration",
-        "node_count": node_count,
-        "seed": seed,
-        "packet_bytes": packet_bytes,
-        "join_attr_count": join_attr_count,
-        "total_attr_count": total_attr_count,
-        "fraction_milli": fraction_milli,
-    }
-    cache_dir = calibration_cache_dir()
-    disk = ResultCache(cache_dir) if cache_dir is not None else None
-    key = cache_key(params) if disk is not None else None
-    if disk is not None:
-        entry = disk.get(key)
-        if entry is not None:
-            return float(entry["threshold"])
+    """One calibrated threshold, memoised per process."""
     scenario = build_scenario(node_count, seed, packet_bytes)
     builder = ratio_query_builder(join_attr_count, total_attr_count)
     # Every template is ``A.temp - B.temp > delta``: a larger delta means a
@@ -237,8 +207,6 @@ def _cached_calibration(
         40.0,
         increasing=False,
     )
-    if disk is not None:
-        disk.put(key, {"params": params, "threshold": threshold})
     return threshold
 
 

@@ -1,5 +1,5 @@
-"""Harness tests: cell registry, cache keys, on-disk caching, assembly
-checks, and the ``python -m repro.bench`` CLI."""
+"""Harness tests: cell registry, runs and manifests, assembly checks, and
+the ``python -m repro.bench`` CLI."""
 
 import json
 import pickle
@@ -7,12 +7,6 @@ import pickle
 import pytest
 
 from repro.bench.__main__ import main as bench_main
-from repro.bench.cache import (
-    CACHE_DIR_ENV,
-    ResultCache,
-    cache_key,
-    code_fingerprint,
-)
 from repro.bench.harness import (
     _assemble_loss,
     _assemble_shards,
@@ -57,9 +51,8 @@ class TestRegistry:
                 assert cell.experiment == spec.name
                 assert callable(getattr(experiments, cell.func))
                 pickle.loads(pickle.dumps(cell))
-                # Canonical JSON must round-trip the kwargs unchanged.
-                kwargs = cell.call_kwargs
-                assert json.loads(json.dumps(kwargs)) == kwargs
+                # The manifest records the kwargs as JSON, unchanged.
+                assert json.loads(json.dumps(cell.kwargs)) == cell.kwargs
 
     def test_sweep_experiments_have_one_cell_per_point(self):
         specs = experiment_specs(NODES)
@@ -135,128 +128,24 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Cache keys + store
-# ---------------------------------------------------------------------------
-
-
-class TestCache:
-    def test_key_is_deterministic_and_parameter_sensitive(self):
-        fingerprint = code_fingerprint()
-        a = cache_key({"func": "f", "kwargs": {"x": 1}}, fingerprint)
-        b = cache_key({"func": "f", "kwargs": {"x": 1}}, fingerprint)
-        c = cache_key({"func": "f", "kwargs": {"x": 2}}, fingerprint)
-        d = cache_key({"func": "f", "kwargs": {"x": 1}}, "other-fingerprint")
-        assert a == b
-        assert len({a, c, d}) == 3
-
-    def test_fingerprint_tracks_version_and_constants(self, monkeypatch):
-        import repro
-        import repro.constants
-
-        base = code_fingerprint()
-        monkeypatch.setattr(repro, "__version__", "0.0.0-test")
-        assert code_fingerprint() != base
-        monkeypatch.undo()
-        monkeypatch.setattr(repro.constants, "PAPER_NODE_COUNT", 7)
-        assert code_fingerprint() != base
-
-    def test_fingerprint_tracks_interpreter(self, monkeypatch):
-        import repro.bench.cache as cache_mod
-
-        base = code_fingerprint()
-        monkeypatch.setattr(
-            cache_mod,
-            "_interpreter_fingerprint",
-            lambda: {"python": [9, 99], "implementation": "other",
-                     "platform": "plan9", "machine": "pdp11"},
-        )
-        assert code_fingerprint() != base
-
-    def test_interpreter_fingerprint_names_this_runtime(self):
-        import sys
-
-        from repro.bench.cache import _interpreter_fingerprint
-
-        fingerprint = _interpreter_fingerprint()
-        assert fingerprint["python"] == list(sys.version_info[:2])
-        assert fingerprint["implementation"] == sys.implementation.name
-        assert fingerprint["platform"] == sys.platform
-
-    def test_store_round_trip_and_clear(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        assert cache.get("ab" * 32) is None
-        cache.put("ab" * 32, {"value": 1})
-        assert cache.get("ab" * 32) == {"value": 1}
-        assert len(cache) == 1
-        assert cache.clear() == 1
-        assert cache.get("ab" * 32) is None
-
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        path = cache.put("cd" * 32, {"value": 1})
-        path.write_text("{not json")
-        assert cache.get("cd" * 32) is None
-
-    def test_empty_cache_is_still_truthy(self, tmp_path):
-        # Regression guard: __len__ == 0 must never disable `if cache:` paths.
-        assert bool(ResultCache(tmp_path / "nothing-here"))
-
-
-# ---------------------------------------------------------------------------
-# Runs + caching behaviour
+# Runs + manifests
 # ---------------------------------------------------------------------------
 
 
 class TestRunExperiments:
-    def test_warm_cache_skips_all_cells(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cold = run_experiments(
-            ["fig12"], node_count=NODES, jobs=1, cache_dir=cache_dir
-        )
-        assert cold.manifest["cached_cells"] == 0
-        warm = run_experiments(
-            ["fig12"], node_count=NODES, jobs=1, cache_dir=cache_dir
-        )
-        assert warm.manifest["cached_cells"] == warm.manifest["total_cells"] == 3
-        assert warm.series == cold.series
-
-    def test_calibration_results_are_cached_cells(self, tmp_path):
-        from repro.bench.workloads import _cached_calibration
-
-        # Drop the in-process memo so the run has to consult the disk layer.
-        _cached_calibration.cache_clear()
-        cache_dir = tmp_path / "cache"
-        run_experiments(["fig12"], node_count=NODES, jobs=1, cache_dir=cache_dir)
-        entries = [
-            json.loads(path.read_text()) for path in cache_dir.glob("*/*.json")
-        ]
-        thresholds = [e for e in entries if "threshold" in e]
-        assert thresholds, "calibrations should be cached alongside cells"
-        # The env hook must be restored after the run.
-        import os
-
-        assert CACHE_DIR_ENV not in os.environ or os.environ[
-            CACHE_DIR_ENV
-        ] != str(cache_dir)
-
-    def test_manifest_records_cells_in_sweep_order(self, tmp_path):
-        run = run_experiments(
-            ["fig12"], node_count=NODES, jobs=1, cache_dir=None
-        )
+    def test_manifest_records_cells_in_sweep_order(self):
+        run = run_experiments(["fig12"], node_count=NODES, jobs=1)
         manifest = run.manifest
-        assert manifest["schema"] == 1
+        assert manifest["schema"] == 2
         assert manifest["total_cells"] == 3
         assert [c["experiment"] for c in manifest["cells"]] == ["fig12"] * 3
         assert [c["kwargs"]["totals"] for c in manifest["cells"]] == [[5], [4], [3]]
         for cell in manifest["cells"]:
-            assert set(cell) >= {"func", "kwargs", "key", "cached", "elapsed_s"}
+            assert set(cell) == {"experiment", "func", "kwargs", "elapsed_s"}
 
     def test_progress_reports_every_cell(self):
         lines = []
-        run_experiments(
-            ["fig12"], node_count=NODES, jobs=1, cache_dir=None,
-            progress=lines.append,
-        )
+        run_experiments(["fig12"], node_count=NODES, jobs=1, progress=lines.append)
         assert len(lines) == 3
         assert lines[0].startswith("[1/3] fig12[")
 
@@ -320,14 +209,16 @@ class TestCli:
         assert bench_main(["run"]) == 2
         assert "--all" in capsys.readouterr().err
 
-    def test_run_report_clear_cache_cycle(self, tmp_path, capsys):
+    def test_run_report_rerun_cycle(self, tmp_path, capsys, monkeypatch):
+        import repro.bench.experiments as experiments
+
         results = tmp_path / "results"
         out = tmp_path / "report.txt"
-        code = bench_main([
+        argv = [
             "run", "fig12", "--nodes", str(NODES), "--jobs", "1",
             "--results-dir", str(results), "--out", str(out),
-        ])
-        assert code == 0
+        ]
+        assert bench_main(argv) == 0
         assert (results / "fig12.csv").exists()
         assert "== fig12:" in out.read_text()
 
@@ -339,11 +230,25 @@ class TestCli:
         assert bench_main(["report", "--results-dir", str(results)]) == 0
         assert "== fig12:" in capsys.readouterr().out
 
-        assert bench_main([
-            "run", "--clear-cache", "--results-dir", str(results),
-        ]) == 0
-        assert "cache cleared" in capsys.readouterr().out
-        assert len(ResultCache(results / ".cache")) == 0
+        # A re-run into the same directory computes every cell again, so an
+        # edit to an experiment shows up in its CSV at once.
+        def edited_fig12(*, totals, node_count, seed):
+            series = ExperimentSeries("fig12", "edited", ["total_attrs", "marker"])
+            series.add_row(totals[0], 4242)
+            return series
+
+        monkeypatch.setattr(experiments, "fig12_ratio3", edited_fig12)
+        assert bench_main(argv) == 0
+        assert (results / "fig12.csv").read_text().splitlines() == [
+            "total_attrs,marker", "5,4242", "4,4242", "3,4242",
+        ]
+
+    @pytest.mark.parametrize("flag", ["--no-cache", "--clear-cache"])
+    def test_cache_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(["run", "fig12", flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_report_without_run_fails_cleanly(self, tmp_path, capsys):
         assert bench_main(["report", "--results-dir", str(tmp_path)]) == 2
@@ -406,16 +311,16 @@ class TestSharding:
         specs = experiment_specs(600)
         scale = specs["scale"]
         assert len(scale.cells) == len(scale_node_counts(600)) * 2
-        counts = [cell.call_kwargs["node_counts"][0] for cell in scale.cells]
+        counts = [cell.kwargs["node_counts"][0] for cell in scale.cells]
         assert sorted(set(counts)) == [1000, 5000, 10000]
-        routings = {cell.call_kwargs["routings"][0] for cell in scale.cells}
+        routings = {cell.kwargs["routings"][0] for cell in scale.cells}
         assert routings == {"flat", "cluster"}
 
     def test_shard_spec_cells_are_pinned_and_picklable(self):
         spec = deployment_shard_spec(400, shard_count=3, seed=2, routing="cluster")
         assert len(spec.cells) == 3
         for index, cell in enumerate(spec.cells):
-            kwargs = cell.call_kwargs
+            kwargs = cell.kwargs
             assert kwargs["shard_index"] == index
             assert kwargs["shard_count"] == 3
             assert kwargs["node_count"] == 400
@@ -482,18 +387,15 @@ class TestSharding:
         with pytest.raises(ValueError, match="deployment"):
             scale_shard(100, deployment="ring")
 
-    def test_run_sharded_deployment_caches_and_merges(self, tmp_path):
-        cold = run_sharded_deployment(
-            300, 2, seed=0, jobs=1, cache_dir=tmp_path / "cache"
-        )
-        warm = run_sharded_deployment(
-            300, 2, seed=0, jobs=1, cache_dir=tmp_path / "cache"
-        )
-        assert cold.manifest["cached_cells"] == 0
-        assert warm.manifest["cached_cells"] == 2
-        assert cold.series[0].rows == warm.series[0].rows
-        # 2 shard rows + the merge row.
-        assert len(cold.series[0].rows) == 3
+    def test_run_sharded_deployment_merges(self):
+        run = run_sharded_deployment(300, 2, seed=0, jobs=1)
+        (series,) = run.series
+        col = series.columns.index
+        assert run.manifest["total_cells"] == 2
+        # 2 shard rows + the merge row, which covers the whole deployment.
+        assert len(series.rows) == 3
+        assert series.rows[-1][col("shard")] == -1
+        assert series.rows[-1][col("nodes")] == 300
 
     def test_shard_cli_smoke(self, tmp_path, capsys):
         code = bench_main(

@@ -16,6 +16,7 @@ from repro.bench.__main__ import main as bench_main
 from repro.bench.perf import (
     SCHEMA,
     Bench,
+    _interpreter_fingerprint,
     build_suite,
     compare_snapshots,
     default_results_dir,
@@ -121,6 +122,14 @@ class TestSnapshots:
             )
         )
         assert set(snapshot_entries(path)) == {"codec.x"}
+
+    def test_interpreter_fingerprint_names_this_runtime(self):
+        import sys
+
+        fingerprint = _interpreter_fingerprint()
+        assert fingerprint["python"] == list(sys.version_info[:2])
+        assert fingerprint["implementation"] == sys.implementation.name
+        assert fingerprint["platform"] == sys.platform
 
 
 # ---------------------------------------------------------------------------

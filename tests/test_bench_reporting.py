@@ -110,9 +110,7 @@ def test_parallel_matches_serial():
         fig12_ratio3(totals=(5, 4, 3), node_count=NODES),
         variance_study(seeds=(0, 1, 2, 3, 4), node_count=NODES),
     ]
-    run = run_experiments(
-        ["fig12", "variance"], node_count=NODES, jobs=2, cache_dir=None
-    )
+    run = run_experiments(["fig12", "variance"], node_count=NODES, jobs=2)
     assert [s.experiment for s in run.series] == ["fig12", "variance"]
     for parallel_series, serial_series in zip(run.series, serial):
         assert parallel_series == serial_series
@@ -120,8 +118,8 @@ def test_parallel_matches_serial():
 
 
 def test_jobs_one_matches_jobs_two(tmp_path):
-    one = run_experiments(["fig12"], node_count=NODES, jobs=1, cache_dir=None)
-    two = run_experiments(["fig12"], node_count=NODES, jobs=2, cache_dir=None)
+    one = run_experiments(["fig12"], node_count=NODES, jobs=1)
+    two = run_experiments(["fig12"], node_count=NODES, jobs=2)
     assert one.series == two.series
     csv_one = save_csv(one.series[0], tmp_path / "one").read_bytes()
     csv_two = save_csv(two.series[0], tmp_path / "two").read_bytes()

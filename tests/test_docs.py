@@ -103,8 +103,7 @@ def test_benchmarking_doc_references_real_names():
     # The experiment->figure table must cover the whole registry.
     for name in harness.experiment_specs(60):
         assert f"`{name}`" in doc, name
-    for keyword in ("cache key", "--jobs", "--no-cache", "run_manifest.json",
-                    "byte-identical"):
+    for keyword in ("--jobs", "run_manifest.json", "byte-identical"):
         assert keyword in doc, keyword
 
 

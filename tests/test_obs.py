@@ -863,40 +863,11 @@ class TestSampledBrokerFunnel:
 # -- bench profiling --------------------------------------------------------
 
 
-class TestBenchCacheCounters:
-    def test_cache_counts_hits_misses_puts_evictions(self, tmp_path):
-        from repro.bench.cache import ResultCache
-
-        reg = MetricsRegistry()
-        cache = ResultCache(tmp_path / "cache", registry=reg)
-        assert cache.get("00aa") is None
-        cache.put("00aa", {"x": 1})
-        assert cache.get("00aa") == {"x": 1}
-        removed = cache.clear()
-        assert removed == 1
-        assert reg.total("bench_cache_misses_total") == 1
-        assert reg.total("bench_cache_hits_total") == 1
-        assert reg.total("bench_cache_puts_total") == 1
-        assert reg.total("bench_cache_evictions_total") == 1
-
-    def test_default_registry_is_null(self, tmp_path):
-        from repro.bench.cache import ResultCache
-
-        cache = ResultCache(tmp_path / "cache")
-        assert cache.registry.enabled is False
-        cache.put("00bb", {"x": 1})  # must not raise
-
-    def test_manifest_profile_section(self, tmp_path):
+class TestBenchProfile:
+    def test_manifest_profile_section(self):
         from repro.bench.harness import run_experiments
 
-        cold = run_experiments(
-            ["related_work"], jobs=1, cache_dir=tmp_path / "cache"
-        )
-        profile = cold.manifest["profile"]
-        assert profile["cache"] == {"hits": 0, "misses": 1, "puts": 1, "evictions": 0}
+        run = run_experiments(["related_work"], jobs=1)
+        profile = run.manifest["profile"]
+        assert set(profile) == {"slowest_cells"}
         assert profile["slowest_cells"][0]["label"] == "related_work[0]"
-        warm = run_experiments(
-            ["related_work"], jobs=1, cache_dir=tmp_path / "cache"
-        )
-        assert warm.manifest["profile"]["cache"]["hits"] == 1
-        assert warm.manifest["profile"]["slowest_cells"] == []
